@@ -1,19 +1,20 @@
 """Vectorized per-chunk evaluation for the labeled-graph enumeration scans.
 
-A chunk of graphs on n <= 7 vertices is a vector of edge masks (bit k of a
-mask is the k-th pair in lexicographic order).  Everything the catalogue
+A chunk of graphs on n <= 11 vertices is a vector of int64 edge masks (bit
+k of a mask is the k-th pair in lexicographic order).  Everything the catalogue
 needs is computed with batched numpy kernels:
 
  * spectra via stacked ``eigvalsh`` calls,
  * clique quantities via the subset table: a vertex subset S is a clique of
-   mask M iff required_edges(S) & ~M == 0, and there are at most 2^7 - 1
+   mask M iff required_edges(S) & ~M == 0, and there are 2^n - 1 nonempty
    subsets, so one boolean (chunk x subsets) matrix answers omega, c(v),
    c(e), t and diamond-freeness at once,
- * walk counts via repeated integer matmuls,
+ * walk counts via repeated int64 matmuls, extended on demand,
  * connectivity via boolean matrix squaring.
 
-The resulting ``BatchContext`` exposes the same field names as the scalar
-``GraphContext``, so catalogue formulas evaluate unchanged on whole chunks.
+The resulting ``BatchContext`` derives its catalogue fields through the same
+``DerivedFields`` as the scalar ``GraphContext``, so catalogue formulas
+evaluate unchanged on whole chunks.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from .graph import lex_pairs
+from .inequalities import DerivedFields
 from .spectra import DEFAULT_SIGN_RTOL
 
 
@@ -88,27 +90,28 @@ def subset_tables(n: int) -> SubsetTables:
     )
 
 
-class BatchContext:
+# C(11, 2) = 55 pair bits are the most an int64 edge mask holds.
+BATCH_MAX_ORDER = 11
+
+
+class BatchContext(DerivedFields):
     """Aligned arrays of per-graph quantities for one chunk of edge masks."""
 
-    def __init__(self, n: int, masks: np.ndarray, walk_rs: tuple[int, ...] = (),
-                 sign_rtol: float = DEFAULT_SIGN_RTOL):
+    def __init__(self, n: int, masks: np.ndarray):
+        if not 1 <= n <= BATCH_MAX_ORDER:
+            raise ValueError(f"batch kernel covers 1 <= n <= {BATCH_MAX_ORDER} (int64 edge masks)")
         tab = subset_tables(n)
         masks = np.asarray(masks, dtype=np.int64)
         nbits = len(tab.pairs)
         B = len(masks)
-        self.masks = masks
-        self.size = B
         self.exact_cliques = True
 
-        edge_present = (masks[:, None] >> np.arange(nbits, dtype=np.int64)[None, :]) & 1 \
-            if nbits else np.zeros((B, 0), dtype=np.int64)
+        edge_present = (masks[:, None] >> np.arange(nbits, dtype=np.int64)[None, :]) & 1
         edge_bool = edge_present.astype(bool)
 
         a_int = np.zeros((B, n, n), dtype=np.int64)
-        if nbits:
-            a_int[:, tab.pair_u, tab.pair_v] = edge_present
-            a_int[:, tab.pair_v, tab.pair_u] = edge_present
+        a_int[:, tab.pair_u, tab.pair_v] = edge_present
+        a_int[:, tab.pair_v, tab.pair_u] = edge_present
         degrees = a_int.sum(axis=2)
 
         self.n = n
@@ -116,9 +119,9 @@ class BatchContext:
         self.complete = self.m == nbits
         self.regular = degrees.max(axis=1) == degrees.min(axis=1)
 
-        # Connectivity: boolean reachability by repeated squaring of A + I.
+        # Connectivity: (A+I)^(2^k) reaches along every path once 2^k >= n - 1.
         reach = (a_int + np.eye(n, dtype=np.int64)[None]) > 0
-        for _ in range(3):  # (A+I)^8 covers paths up to length 7
+        for _ in range(max(n - 2, 0).bit_length()):
             reach = np.matmul(reach.astype(np.uint8), reach.astype(np.uint8)) > 0
         self.connected = reach[:, 0, :].all(axis=1)
 
@@ -127,12 +130,10 @@ class BatchContext:
         self.eigenvalues = desc
         self.lam1 = desc[:, 0].copy()
         self.lam2 = desc[:, 1].copy() if n >= 2 else np.zeros(B)
-        thr = sign_rtol * np.maximum(1.0, self.lam1)[:, None]
+        thr = DEFAULT_SIGN_RTOL * np.maximum(1.0, self.lam1)[:, None]
         sq = desc * desc
         self.s_plus = np.where(desc > thr, sq, 0.0).sum(axis=1)
         self.s_minus = np.where(desc < -thr, sq, 0.0).sum(axis=1)
-        self.n_plus = (desc > thr).sum(axis=1)
-        self.n_minus = (desc < -thr).sum(axis=1)
 
         is_clique = (masks[:, None] & tab.sub_req[None, :]) == tab.sub_req[None, :]
         pc_masked = np.where(is_clique, tab.sub_pc[None, :], 0)
@@ -140,56 +141,26 @@ class BatchContext:
         c_v = np.empty((B, n), dtype=np.int64)
         for v in range(n):
             c_v[:, v] = pc_masked[:, tab.vert_idx[v]].max(axis=1)
-        self.c_v = c_v
-        self.min_cv = c_v.min(axis=1)
+        # c(e) of a non-edge is 0: no subset through both endpoints is a clique.
         c_e = np.zeros((B, nbits), dtype=np.int64)
         for k in range(nbits):
             c_e[:, k] = pc_masked[:, tab.pair_idx[k]].max(axis=1)
-        self.c_e = c_e
-        self.t = is_clique[:, tab.tri_pos].sum(axis=1) if len(tab.tri_pos) else np.zeros(B, dtype=np.int64)
-        if nbits:
-            tri_per_edge = np.zeros((B, nbits), dtype=np.int64)
-            for k in range(nbits):
-                if len(tab.tri_by_pair[k]):
-                    tri_per_edge[:, k] = is_clique[:, tab.tri_by_pair[k]].sum(axis=1)
-            self.diamond_free = ((tri_per_edge <= 1) | ~edge_bool).all(axis=1)
-        else:
-            self.diamond_free = np.ones(B, dtype=bool)
+        self.t = is_clique[:, tab.tri_pos].sum(axis=1)
+        tri_per_edge = np.zeros((B, nbits), dtype=np.int64)
+        for k in range(nbits):
+            tri_per_edge[:, k] = is_clique[:, tab.tri_by_pair[k]].sum(axis=1)
+        self.diamond_free = ((tri_per_edge <= 1) | ~edge_bool).all(axis=1)
+        self.ce3_count = (c_e == 3).sum(axis=1)
+        self.ce2_count = (c_e == 2).sum(axis=1)
 
-        cv_f = c_v.astype(np.float64)
-        self._cv_wilf_weights = 1.0 - 1.0 / cv_f
-        self._cv_sqrt_weights = np.sqrt(self._cv_wilf_weights)
-        self.sum_cv_wilf = self._cv_wilf_weights.sum(axis=1)
-        self.sum_cv_half = (1.0 - 1.0 / (2.0 * cv_f)).sum(axis=1)
-        self.sum_cv_reg = np.where(
-            cv_f >= 2.0, 1.0 - 1.0 / np.maximum(2.0 * cv_f - 2.0, 1.0), 0.0
-        ).sum(axis=1)
-        if nbits:
-            ce_f = np.maximum(c_e, 1).astype(np.float64)
-            self.sum_ce_local = np.where(edge_bool, 2.0 * (1.0 - 1.0 / ce_f), 0.0).sum(axis=1)
-            self.ce3_count = ((c_e == 3) & edge_bool).sum(axis=1)
-            self.ce2_count = ((c_e == 2) & edge_bool).sum(axis=1)
-        else:
-            self.sum_ce_local = np.zeros(B)
-            self.ce3_count = np.zeros(B, dtype=np.int64)
-            self.ce2_count = np.zeros(B, dtype=np.int64)
-        self.w_lam1 = self.lam1
-        self.sum_ce_local_w = self.sum_ce_local
+        self._adj = a_int
+        self._deg_max = float(degrees.max(initial=0))
+        # Non-edge slots enter the c(e) sum as c = 1, which adds exactly 0.
+        self._derive(c_v, np.maximum(c_e, 1).astype(np.float64), np.ones((B, n), dtype=np.int64))
 
-        self._walks: dict[int, np.ndarray] = {}
-        if walk_rs:
-            r_needed = max(max(walk_rs), 2 * max(walk_rs))
-            w = np.ones((B, n), dtype=np.int64)
-            self._walks[1] = w
-            for r in range(2, r_needed + 1):
-                w = np.matmul(a_int, w[:, :, None])[:, :, 0]
-                self._walks[r] = w
-
-    def walk_total(self, r: int):
-        return self._walks[r].sum(axis=1).astype(np.float64)
-
-    def walk_conj_sum(self, r: int):
-        return (self._walks[r] * self._cv_wilf_weights).sum(axis=1)
-
-    def walk_sqrt_sum(self, r: int):
-        return (self._walks[r] * self._cv_sqrt_weights).sum(axis=1)
+    def _walk_step(self, w):
+        # No w_{r+1}(v) exceeds the chunk's largest degree times its largest
+        # w_r entry; refuse a step whose bound leaves int64.
+        if self._deg_max * float(w.max(initial=0)) >= 2.0**63:
+            raise OverflowError("walk counts exceed int64 at this order and walk length")
+        return np.matmul(self._adj, w[:, :, None])[:, :, 0]

@@ -11,8 +11,8 @@ impractical; there the localized quantities fall back to greedy clique
 extension, which yields certified lower bounds.  Every inequality in the
 catalogue is monotone increasing in the clique sizes on its bound side, so
 lower bounds can only under-report the bound: a check that passes with them
-is guaranteed, and a candidate violation is re-examined exactly before being
-reported.
+is guaranteed, and a candidate violation is reported with a note in its
+``notes`` that it is unconfirmed.
 """
 
 from __future__ import annotations

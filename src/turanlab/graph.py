@@ -181,7 +181,10 @@ def from_graph6(text: str) -> Graph:
         raise Graph6ParseError("empty graph6 line", 0)
     if line.startswith(">>graph6<<"):
         line = line[len(">>graph6<<"):]
-    data = line.encode("ascii", errors="replace")
+    if not line.isascii():
+        bad = next(i for i, ch in enumerate(line) if not ch.isascii())
+        raise Graph6ParseError("non-ASCII character", bad)
+    data = line.encode("ascii")
     pos = 0
     if data[0] == 126:  # '~': multi-byte order
         if len(data) >= 2 and data[1] == 126:
@@ -263,18 +266,6 @@ def to_graph6(g: Graph) -> str:
         for k in range(0, len(bits), 6)
     )
     return head + body
-
-
-def read_graph6_lines(lines: Iterable[str]) -> Iterator[tuple[int, Graph | Graph6ParseError]]:
-    """Yield (line_number, Graph or parse error) for a graph6 stream."""
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        try:
-            yield lineno, from_graph6(line)
-        except Graph6ParseError as exc:
-            yield lineno, exc
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from . import cliques, spectra
-from .graph import Graph
+from .graph import Graph, is_connected
 from .util import round12
 
 WALK_R_MAX = 10
@@ -74,22 +74,70 @@ class InequalityResult:
         }
 
 
-class GraphContext:
+def edge_local_sum(c_e, w=None):
+    """sum_e 2(1 - 1/c(e)), each term times w(e)^2 when weights are given.
+
+    Reduces over the last axis; a slot with c(e) = 1 adds exactly 0.
+    """
+    terms = 2.0 * (1.0 - 1.0 / c_e)
+    if w is not None:
+        terms = terms * w * w
+    return terms.sum(axis=-1)
+
+
+class DerivedFields:
+    """Catalogue fields derived from a context's base arrays.
+
+    The base arrays hold one graph (1-D) or one chunk of graphs (2-D, a row
+    per graph); every sum runs over the last axis, so the per-graph and the
+    batch context add the same operands in the same order.  A subclass sets
+    ``lam1``, calls ``_derive`` and supplies ``_walk_step``, which maps the
+    exact w_r to the exact w_{r+1}.
+    """
+
+    def _derive(self, c_v, c_e, walks1):
+        """c_v: integer c(v) per vertex; c_e: float c(e) per edge slot; walks1: w_1."""
+        cv = c_v.astype(np.float64)
+        self.min_cv = c_v.min(axis=-1)
+        self._cv_wilf_weights = 1.0 - 1.0 / cv
+        self._cv_sqrt_weights = np.sqrt(self._cv_wilf_weights)
+        self.sum_cv_wilf = self._cv_wilf_weights.sum(axis=-1)
+        self.sum_cv_half = (1.0 - 1.0 / (2.0 * cv)).sum(axis=-1)
+        self.sum_cv_reg = np.where(
+            cv >= 2.0, 1.0 - 1.0 / np.maximum(2.0 * cv - 2.0, 1.0), 0.0
+        ).sum(axis=-1)
+        self.sum_ce_local = edge_local_sum(c_e)
+        # Weighted-check fields default to the unit-weight specialization.
+        self.w_lam1 = self.lam1
+        self.sum_ce_local_w = self.sum_ce_local
+        self._walks = [walks1]
+
+    def _walk_vec(self, r: int):
+        """w_r(v) as float64; the exact walk table grows only as far as asked."""
+        while len(self._walks) < r:
+            self._walks.append(self._walk_step(self._walks[-1]))
+        return np.asarray(self._walks[r - 1], dtype=np.float64)
+
+    def walk_total(self, r: int):
+        return self._walk_vec(r).sum(axis=-1)
+
+    def walk_conj_sum(self, r: int):
+        return (self._walk_vec(r) * self._cv_wilf_weights).sum(axis=-1)
+
+    def walk_sqrt_sum(self, r: int):
+        return (self._walk_vec(r) * self._cv_sqrt_weights).sum(axis=-1)
+
+
+class GraphContext(DerivedFields):
     """Per-graph quantities shared by all checks.
 
     Bool flags are numpy scalars so the shared formulas may use ``~``, ``&``
     and ``|`` uniformly with the batch path.
     """
 
-    def __init__(
-        self,
-        g: Graph,
-        exact_cliques: bool | None = None,
-        sign_rtol: float = spectra.DEFAULT_SIGN_RTOL,
-        verify_spectrum: bool = False,
-    ):
+    def __init__(self, g: Graph, exact_cliques: bool | None = None):
         self.graph = g
-        self.spectrum = spectra.eigenvalues(g, sign_rtol=sign_rtol, verify=verify_spectrum)
+        self.spectrum = spectra.eigenvalues(g, verify=False)
         self.profile = cliques.clique_profile(g, exact=exact_cliques)
         self.exact_cliques = self.profile.exact
         self.n = np.int64(g.n)
@@ -100,40 +148,16 @@ class GraphContext:
         self.lam2 = np.float64(self.spectrum.lambda2)
         self.s_plus = np.float64(self.spectrum.s_plus)
         self.s_minus = np.float64(self.spectrum.s_minus)
-        c_v = np.array(self.profile.c_v, dtype=np.float64)
-        c_e = np.array(self.profile.c_e, dtype=np.float64)
-        self.min_cv = np.int64(min(self.profile.c_v))
-        self.sum_cv_wilf = np.float64(np.sum(1.0 - 1.0 / c_v))
-        self.sum_cv_half = np.float64(np.sum(1.0 - 1.0 / (2.0 * c_v)))
-        self.sum_cv_reg = np.float64(
-            np.sum(np.where(c_v >= 2.0, 1.0 - 1.0 / np.maximum(2.0 * c_v - 2.0, 1.0), 0.0))
-        )
-        self.sum_ce_local = np.float64(np.sum(2.0 * (1.0 - 1.0 / c_e))) if len(c_e) else np.float64(0.0)
-        self._cv_wilf_weights = 1.0 - 1.0 / c_v
-        self._cv_sqrt_weights = np.sqrt(1.0 - 1.0 / c_v)
-        preds = cliques.predicates(g)
-        self.diamond_free = np.bool_(preds["diamond_free"])
-        self.regular = np.bool_(preds["regular"])
-        self.complete = np.bool_(preds["complete"])
-        self.connected = np.bool_(preds["connected"])
-        self._walks: dict[int, np.ndarray] = {}
-        # Weighted-check fields default to the unit-weight specialization.
-        self.w_lam1 = self.lam1
-        self.sum_ce_local_w = self.sum_ce_local
+        degs = g.degrees
+        self.diamond_free = np.bool_(cliques.is_diamond_free(g))
+        self.regular = np.bool_(min(degs) == max(degs))
+        self.complete = np.bool_(g.m == g.n * (g.n - 1) // 2)
+        self.connected = np.bool_(is_connected(g))
+        self._derive(np.array(self.profile.c_v), np.array(self.profile.c_e, dtype=np.float64),
+                     [1] * g.n)
 
-    def _walk_vec(self, r: int) -> np.ndarray:
-        if r not in self._walks:
-            self._walks[r] = np.array(spectra.walk_counts(self.graph, r).per_vertex, dtype=np.float64)
-        return self._walks[r]
-
-    def walk_total(self, r: int):
-        return np.float64(np.sum(self._walk_vec(r)))
-
-    def walk_conj_sum(self, r: int):
-        return np.float64(np.sum(self._walk_vec(r) * self._cv_wilf_weights))
-
-    def walk_sqrt_sum(self, r: int):
-        return np.float64(np.sum(self._walk_vec(r) * self._cv_sqrt_weights))
+    def _walk_step(self, w):
+        return spectra.walk_step(self.graph, w)
 
 
 # ---------------------------------------------------------------------------
@@ -437,18 +461,6 @@ def evaluate_entry(entry: CatalogueEntry, ctx, r: int | None, tol: Tolerances = 
     holds = slack > -htol if entry.strict else slack >= -htol
     equality = abs(slack) <= float(tol.equality_tol(lhs, rhs))
     applicable = bool(entry.applicable(ctx, r))
-    notes = []
-    failed = entry.failed_hypotheses(ctx, r)
-    if failed:
-        notes.append("hypothesis failed: " + ", ".join(failed))
-    if entry.base in ("bn", "local_bn", "local_bn_diamond") and not bool(ctx.connected):
-        notes.append("disconnected input")
-    if entry.strict:
-        notes.append("strict inequality")
-    if not ctx.exact_cliques:
-        notes.append("clique numbers are greedy lower bounds")
-        if not holds:
-            notes.append("violation unconfirmed (bound side under-reported)")
     return InequalityResult(
         id=entry.id_for(r),
         lhs=lhs,
@@ -457,8 +469,26 @@ def evaluate_entry(entry: CatalogueEntry, ctx, r: int | None, tol: Tolerances = 
         holds=bool(holds),
         applicable=applicable,
         equality=bool(equality),
-        notes="; ".join(notes),
+        notes=result_notes(entry, entry.failed_hypotheses(ctx, r), bool(ctx.connected),
+                           ctx.exact_cliques, bool(holds)),
     )
+
+
+def result_notes(entry: CatalogueEntry, failed: Sequence[str], connected: bool,
+                 exact_cliques: bool, holds: bool) -> str:
+    """The ``notes`` of one result; every violation record carries the same."""
+    notes = []
+    if failed:
+        notes.append("hypothesis failed: " + ", ".join(failed))
+    if entry.base in ("bn", "local_bn", "local_bn_diamond") and not connected:
+        notes.append("disconnected input")
+    if entry.strict:
+        notes.append("strict inequality")
+    if not exact_cliques:
+        notes.append("clique numbers are greedy lower bounds")
+        if not holds:
+            notes.append("violation unconfirmed (bound side under-reported)")
+    return "; ".join(notes)
 
 
 def check(check_id: str, g: Graph, context: GraphContext | None = None, tol: Tolerances = DEFAULT_TOL) -> InequalityResult:
@@ -488,11 +518,10 @@ def weighted_edge_local_check(
     """lambda1(W)^2 against sum_e 2(1 - 1/c(e)) w(e)^2 for given weights."""
     ctx = GraphContext(g)
     ctx.w_lam1 = np.float64(spectra.weighted_spectral_radius(g, weights))
-    c_e = np.array(ctx.profile.c_e, dtype=np.float64)
     w = np.array([weights.get((u, v), weights.get((v, u), 0.0)) for u, v in g.edges])
     if np.any(w < 0):
         raise ValueError("negative weight")
-    ctx.sum_ce_local_w = np.float64(np.sum(2.0 * (1.0 - 1.0 / c_e) * w * w)) if len(c_e) else np.float64(0.0)
+    ctx.sum_ce_local_w = edge_local_sum(np.array(ctx.profile.c_e, dtype=np.float64), w)
     return evaluate_entry(_BY_BASE["weighted_edge_local_turan"], ctx, None, tol)
 
 

@@ -14,7 +14,8 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Sequence
+from functools import partial
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -22,6 +23,7 @@ from . import batch as bt
 from .cliques import EXACT_ORDER_CAP
 from .graph import (
     ENUMERATION_MAX_ORDER,
+    GRAPH6_MAX_ORDER,
     Graph,
     Graph6ParseError,
     from_edge_mask,
@@ -38,6 +40,7 @@ from .inequalities import (
     evaluate_entry,
     expand_check_ids,
     parse_check_id,
+    result_notes,
 )
 from .util import json_bytes, round12
 
@@ -69,12 +72,20 @@ class Graph6Source:
     def descriptor(self) -> dict:
         return {"kind": "graph6-stream", "path": self.path or "<lines>"}
 
-    def iter_lines(self) -> Iterable[str]:
+    def iter_lines(self) -> Iterator[str]:
+        """The stream's lines; a file is closed once iteration ends or stops.
+
+        Bytes outside ASCII reach the parser as lone surrogates, so they
+        make a parse error on their own line instead of ending the stream.
+        """
         if self.lines is not None:
-            return self.lines
-        if self.path in (None, "-"):
-            return sys.stdin
-        return open(self.path, "r", encoding="ascii")
+            yield from self.lines
+        elif self.path in (None, "-"):
+            for raw in sys.stdin.buffer:
+                yield raw.decode("ascii", "surrogateescape")
+        else:
+            with open(self.path, "r", encoding="ascii", errors="surrogateescape") as fh:
+                yield from fh
 
 
 @dataclass(frozen=True)
@@ -155,21 +166,6 @@ def _merge_check_aggs(a: dict, b: dict, top_k: int) -> dict:
     return out
 
 
-def _observe_scalar(agg: dict, res, g6: str, top_k: int, eq: bool):
-    agg["checked"] += 1
-    if not res.applicable:
-        return
-    agg["applicable"] += 1
-    if not res.holds:
-        agg["violations"] += 1
-    if eq:
-        agg["equalities"] += 1
-    key = (res.slack, g6)
-    if agg["min_slack"] is None or key < (agg["min_slack"], agg["argmin_graph6"]):
-        agg["min_slack"], agg["argmin_graph6"] = key
-    agg["top"] = sorted(agg["top"] + [key])[:top_k]
-
-
 # ---------------------------------------------------------------------------
 # Report
 # ---------------------------------------------------------------------------
@@ -231,22 +227,25 @@ class ScanReport:
 
 
 # ---------------------------------------------------------------------------
-# Enumeration path (vectorized kernel)
+# Units: each is a call that evaluates one enumeration chunk or one graph.  It
+# returns None when it contributes nothing, or its aggregate: "processed",
+# per-check "checks", "violations", "stop" (end the scan after this unit) and
+# "left" (the unit itself left input unevaluated).
 # ---------------------------------------------------------------------------
 
 
-def _walk_rs_for(ids: Sequence[str]) -> tuple[int, ...]:
-    rs = sorted({r for cid in ids for _, r in [parse_check_id(cid)] if r is not None})
-    return tuple(rs)
+def _violation(label: str, cid: str, lhs: float, rhs: float, slack: float, notes: str) -> dict:
+    v = {"graph6": label, "check": cid, "lhs": lhs, "rhs": rhs, "slack": slack}
+    if notes:
+        v["notes"] = notes
+    return v
 
 
-def _enum_chunk(args) -> dict:
-    (n, lo, hi, ids, connected_only, stop_on_violation, top_k,
-     holds_rtol, equality_rtol) = args
-    tol = Tolerances(holds_rtol, equality_rtol)
+def _enum_chunk(n: int, ids: tuple[str, ...], options: ScanOptions, lo: int, hi: int) -> dict:
+    tol, top_k = options.tol, options.top_k
     masks = np.arange(lo, hi, dtype=np.int64)
-    ctx = bt.BatchContext(n, masks, walk_rs=_walk_rs_for(ids))
-    keep = ctx.connected if connected_only else np.ones(len(masks), dtype=bool)
+    ctx = bt.BatchContext(n, masks)
+    keep = ctx.connected if options.connected_only else np.ones(len(masks), dtype=bool)
 
     g6_cache: dict[int, str] = {}
 
@@ -267,21 +266,23 @@ def _enum_chunk(args) -> dict:
         holds = slack > -htol if entry.strict else slack >= -htol
         eq = np.abs(slack) <= tol.equality_tol(lhs, rhs)
         viol = keep & app & ~holds
-        evals[cid] = (lhs, rhs, app & keep, slack, eq, viol)
+        evals[cid] = (entry, lhs, rhs, app & keep, slack, eq, viol)
         bad = np.flatnonzero(viol)
         if len(bad) and (first_bad is None or bad[0] < first_bad):
             first_bad = int(bad[0])
 
-    if stop_on_violation and first_bad is not None:
-        keep = keep & (np.arange(len(masks)) <= first_bad)
+    stop = options.stop_on_violation and first_bad is not None
+    if stop:
+        upto = np.arange(len(masks)) <= first_bad
+        keep = keep & upto
 
-    agg: dict = {"_processed": int(keep.sum()), "_stopped": stop_on_violation and first_bad is not None}
+    checks = {}
     violations = []
     for cid in ids:
-        lhs, rhs, app, slack, eq, viol = evals[cid]
-        if stop_on_violation and first_bad is not None:
-            app = app & (np.arange(len(masks)) <= first_bad)
-            viol = viol & (np.arange(len(masks)) <= first_bad)
+        entry, lhs, rhs, app, slack, eq, viol = evals[cid]
+        if stop:
+            app = app & upto
+            viol = viol & upto
         c = _new_check_agg()
         c["checked"] = int(keep.sum())
         c["applicable"] = int(app.sum())
@@ -298,16 +299,12 @@ def _enum_chunk(args) -> dict:
             c["top"] = ranked[:top_k]
             c["min_slack"], c["argmin_graph6"] = ranked[0]
         for i in np.flatnonzero(viol):
-            violations.append({
-                "graph6": g6(int(masks[i])),
-                "check": cid,
-                "lhs": float(lhs[i]),
-                "rhs": float(rhs[i]),
-                "slack": float(slack[i]),
-            })
-        agg[cid] = c
-    agg["_violations"] = violations
-    return agg
+            notes = result_notes(entry, (), bool(ctx.connected[i]), ctx.exact_cliques, False)
+            violations.append(_violation(g6(int(masks[i])), cid, float(lhs[i]), float(rhs[i]),
+                                         float(slack[i]), notes))
+        checks[cid] = c
+    return {"processed": int(keep.sum()), "checks": checks, "violations": violations,
+            "stop": stop, "left": stop and first_bad < len(masks) - 1}
 
 
 def _chunk_ranges(lo: int, hi: int) -> list[tuple[int, int]]:
@@ -322,8 +319,7 @@ def _chunk_ranges(lo: int, hi: int) -> list[tuple[int, int]]:
     return out
 
 
-def _scan_enumeration(source: EnumerationSource, ids: list[str], options: ScanOptions,
-                      report: ScanReport, on_violation) -> ScanReport:
+def _enumeration_units(source: EnumerationSource, ids: list[str], options: ScanOptions):
     n = source.n
     if not 1 <= n <= ENUMERATION_MAX_ORDER:
         raise ScanError(
@@ -334,115 +330,128 @@ def _scan_enumeration(source: EnumerationSource, ids: list[str], options: ScanOp
     lo, hi = options.index_range or (0, total)
     if not (0 <= lo <= hi <= total):
         raise ScanError(f"index range [{lo}, {hi}) outside [0, {total})")
-    tasks = [
-        (n, clo, chi, tuple(ids), options.connected_only, options.stop_on_violation,
-         options.top_k, options.tol.holds_rtol, options.tol.equality_rtol)
-        for clo, chi in _chunk_ranges(lo, hi)
-    ]
-    start_time = time.monotonic()
-
-    def results():
-        if options.workers > 1 and not options.stop_on_violation and len(tasks) > 1:
-            with ProcessPoolExecutor(max_workers=options.workers) as pool:
-                yield from pool.map(_enum_chunk, tasks)
-        else:
-            for t in tasks:
-                yield _enum_chunk(t)
-
-    for agg in results():
-        report.graphs_processed += agg["_processed"]
-        for cid in ids:
-            report.checks[cid] = _merge_check_aggs(report.checks[cid], agg[cid], options.top_k)
-        for v in agg["_violations"]:
-            report.violations.append(v)
-            if on_violation:
-                on_violation(v)
-        if agg["_stopped"]:
-            report.partial = True
-            break
-        if options.time_budget_s is not None and time.monotonic() - start_time > options.time_budget_s:
-            report.partial = True
-            break
-    return report
+    chunk = partial(_enum_chunk, n, tuple(ids), options)
+    ranges = _chunk_ranges(lo, hi)
+    if options.workers > 1 and not options.stop_on_violation and len(ranges) > 1:
+        with ProcessPoolExecutor(max_workers=options.workers) as pool:
+            for agg in pool.map(chunk, *zip(*ranges)):
+                yield lambda agg=agg: agg
+    else:
+        for clo, chi in ranges:
+            yield partial(chunk, clo, chi)
 
 
-# ---------------------------------------------------------------------------
-# Per-graph paths (graph6 streams, random trials)
-# ---------------------------------------------------------------------------
-
-
-def _observe_graph(report: ScanReport, ids: list[str], g: Graph, label: str,
-                   options: ScanOptions, on_violation, exact_cliques: bool | None = None) -> bool:
-    """Evaluate all checks on one graph; returns True when scanning stops."""
-    ctx = GraphContext(g, exact_cliques=exact_cliques)
-    report.graphs_processed += 1
-    stop = False
+def _evaluate_graph(g: Graph, label: str, ids: list[str], options: ScanOptions,
+                    on_context=None) -> dict:
+    """Every check on one graph, aggregated as a one-graph chunk."""
+    ctx = GraphContext(g)
+    if on_context is not None:
+        on_context(ctx)
+    checks = {}
+    violations = []
     for cid in ids:
         entry, r = parse_check_id(cid)
         res = evaluate_entry(entry, ctx, r, options.tol)
-        _observe_scalar(report.checks[cid], res, label, options.top_k, res.equality)
-        if res.applicable and not res.holds:
-            v = {"graph6": label, "check": cid, "lhs": res.lhs, "rhs": res.rhs,
-                 "slack": res.slack}
-            if res.notes:
-                v["notes"] = res.notes
-            report.violations.append(v)
-            if on_violation:
-                on_violation(v)
-            if options.stop_on_violation:
-                stop = True
-    return stop
+        c = _new_check_agg()
+        c["checked"] = 1
+        if res.applicable:
+            c["applicable"] = 1
+            c["violations"] = int(not res.holds)
+            c["equalities"] = int(res.equality)
+            c["min_slack"], c["argmin_graph6"] = res.slack, label
+            c["top"] = [(res.slack, label)][:options.top_k]
+            if not res.holds:
+                violations.append(_violation(label, cid, res.lhs, res.rhs, res.slack, res.notes))
+        checks[cid] = c
+    return {"processed": 1, "checks": checks, "violations": violations,
+            "stop": options.stop_on_violation and bool(violations), "left": False}
 
 
-def _scan_graph6(source: Graph6Source, ids: list[str], options: ScanOptions,
-                 report: ScanReport, on_violation) -> ScanReport:
-    start_time = time.monotonic()
-    try:
-        lines = source.iter_lines()
-    except OSError as exc:
-        raise ScanError(f"unreadable source: {exc}") from exc
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line:
-            continue
+def _graph6_units(source: Graph6Source, ids: list[str], options: ScanOptions, report: ScanReport):
+    def unit(lineno: int, line: str):
         try:
             g = from_graph6(line)
         except Graph6ParseError as exc:
             if options.strict_parse:
                 raise ScanError(f"line {lineno}: {exc}") from exc
             report.parse_errors.append({"line": lineno, "error": str(exc)})
-            continue
+            return None
         if options.connected_only and not is_connected(g):
-            continue
-        if _observe_graph(report, ids, g, to_graph6(g), options, on_violation):
-            report.partial = True
-            break
-        if options.time_budget_s is not None and time.monotonic() - start_time > options.time_budget_s:
-            report.partial = True
-            break
-    return report
+            return None
+        return _evaluate_graph(g, to_graph6(g), ids, options)
+
+    try:
+        for lineno, raw in enumerate(source.iter_lines(), start=1):
+            line = raw.strip()
+            if line:
+                yield partial(unit, lineno, line)
+    except OSError as exc:
+        raise ScanError(f"unreadable source: {exc}") from exc
 
 
-def _scan_random(source: RandomSource, ids: list[str], options: ScanOptions,
-                 report: ScanReport, on_violation) -> ScanReport:
-    start_time = time.monotonic()
-    for trial in range(source.trials):
+def _random_units(source: RandomSource, ids: list[str], options: ScanOptions, on_context=None):
+    def unit(trial: int):
         g = random_gnp(source.n, source.p, source.seed, index=trial)
         if options.connected_only and not is_connected(g):
-            continue
-        label = to_graph6(g) if g.n <= 64 else f"trial:{trial}"
-        if _observe_graph(report, ids, g, label, options, on_violation):
-            report.partial = True
-            break
-        if options.time_budget_s is not None and time.monotonic() - start_time > options.time_budget_s:
-            report.partial = True
-            break
+            return None
+        label = to_graph6(g) if g.n <= GRAPH6_MAX_ORDER else f"trial:{trial}"
+        return _evaluate_graph(g, label, ids, options, on_context)
+
+    for trial in range(source.trials):
+        yield partial(unit, trial)
+
+
+# ---------------------------------------------------------------------------
+# Driver and entry points
+# ---------------------------------------------------------------------------
+
+
+def _scan(source: GraphSource, ids: list[str], options: ScanOptions,
+          on_violation=None, on_context=None) -> ScanReport:
+    """Evaluate the source's units in order, merging each into one report.
+
+    The scan stops after a unit that asks to stop or once the time budget
+    is spent, and it is ``partial`` exactly when some input was left
+    unevaluated.  Every unit is evaluated when the budget lasts.
+    """
+    report = ScanReport(
+        source=source.descriptor(),
+        options=options.descriptor(),
+        check_ids=ids,
+        checks={cid: _new_check_agg() for cid in ids},
+    )
+    if isinstance(source, EnumerationSource):
+        units = _enumeration_units(source, ids, options)
+    elif isinstance(source, Graph6Source):
+        units = _graph6_units(source, ids, options, report)
+    elif isinstance(source, RandomSource):
+        units = _random_units(source, ids, options, on_context)
+    else:
+        raise ScanError(f"unknown source type {type(source)!r}")
+    start_time = time.monotonic()
+    stop = False
+    try:
+        for unit in units:
+            if stop:
+                report.partial = True  # this unit is left unevaluated
+                break
+            agg = unit()
+            if agg is not None:
+                report.graphs_processed += agg["processed"]
+                for cid in ids:
+                    report.checks[cid] = _merge_check_aggs(report.checks[cid], agg["checks"][cid],
+                                                           options.top_k)
+                for v in agg["violations"]:
+                    report.violations.append(v)
+                    if on_violation:
+                        on_violation(v)
+                report.partial = agg["left"]
+                stop = agg["stop"]
+            if options.time_budget_s is not None and time.monotonic() - start_time > options.time_budget_s:
+                stop = True
+    finally:
+        units.close()
     return report
-
-
-# ---------------------------------------------------------------------------
-# Entry points
-# ---------------------------------------------------------------------------
 
 
 def scan(
@@ -455,19 +464,7 @@ def scan(
     ids = expand_check_ids(checks, options.walk_rs)
     if not ids:
         raise ScanError("no checks selected")
-    report = ScanReport(
-        source=source.descriptor(),
-        options=options.descriptor(),
-        check_ids=ids,
-        checks={cid: _new_check_agg() for cid in ids},
-    )
-    if isinstance(source, EnumerationSource):
-        return _scan_enumeration(source, ids, options, report, on_violation)
-    if isinstance(source, Graph6Source):
-        return _scan_graph6(source, ids, options, report, on_violation)
-    if isinstance(source, RandomSource):
-        return _scan_random(source, ids, options, report, on_violation)
-    raise ScanError(f"unknown source type {type(source)!r}")
+    return _scan(source, ids, options, on_violation)
 
 
 def extremal_search(
@@ -532,19 +529,13 @@ def random_experiment(
     """
     if trials < 1:
         raise ScanError("trials >= 1 required")
-    exact = n <= EXACT_ORDER_CAP
     samples: dict[str, list[float]] = {
         k: [] for k in ("lambda1_over_n", "lambda2_over_sqrt_n",
                         "s_plus_over_n2", "s_minus_over_n2",
                         "omega", "mean_c_v", "mean_c_e")
     }
-    violations = {cid: 0 for cid in checks}
-    start_time = time.monotonic()
-    partial = False
-    done = 0
-    for trial in range(trials):
-        g = random_gnp(n, p, seed, index=trial)
-        ctx = GraphContext(g, exact_cliques=exact)
+
+    def observe(ctx: GraphContext):
         samples["lambda1_over_n"].append(float(ctx.lam1) / n)
         samples["lambda2_over_sqrt_n"].append(float(ctx.lam2) / np.sqrt(n))
         samples["s_plus_over_n2"].append(float(ctx.s_plus) / n**2)
@@ -552,17 +543,9 @@ def random_experiment(
         samples["omega"].append(float(ctx.omega))
         samples["mean_c_v"].append(float(np.mean(ctx.profile.c_v)))
         samples["mean_c_e"].append(float(np.mean(ctx.profile.c_e)) if ctx.profile.c_e else 0.0)
-        for cid in checks:
-            entry, r = parse_check_id(cid)
-            from .inequalities import evaluate_entry
 
-            res = evaluate_entry(entry, ctx, r, tol)
-            if res.applicable and not res.holds:
-                violations[cid] += 1
-        done = trial + 1
-        if time_budget_s is not None and time.monotonic() - start_time > time_budget_s:
-            partial = done < trials
-            break
+    report = _scan(RandomSource(n, p, trials, seed), list(checks),
+                   ScanOptions(tol=tol, time_budget_s=time_budget_s), on_context=observe)
     stats = {
         name: {
             "mean": float(np.mean(vals)),
@@ -571,6 +554,7 @@ def random_experiment(
         for name, vals in samples.items()
     }
     return RandomExperiment(
-        n=n, p=p, trials=done, seed=seed, stats=stats,
-        violations=violations, clique_exact=exact, partial=partial,
+        n=n, p=p, trials=report.graphs_processed, seed=seed, stats=stats,
+        violations={cid: report.checks[cid]["violations"] for cid in checks},
+        clique_exact=n <= EXACT_ORDER_CAP, partial=report.partial,
     )

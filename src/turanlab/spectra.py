@@ -138,17 +138,22 @@ def walk_counts(g: Graph, r: int) -> WalkTable:
         raise ValueError("walks need r >= 1")
     w = [1] * g.n
     for _ in range(r - 1):
-        nxt = []
-        for v in range(g.n):
-            acc = 0
-            rest = g.adj[v]
-            while rest:
-                b = rest & -rest
-                acc += w[b.bit_length() - 1]
-                rest ^= b
-            nxt.append(acc)
-        w = nxt
+        w = walk_step(g, w)
     return WalkTable(r, tuple(w))
+
+
+def walk_step(g: Graph, w) -> list[int]:
+    """w_{r+1}(v) = sum of w_r over the neighbors of v, in exact integers."""
+    nxt = []
+    for v in range(g.n):
+        acc = 0
+        rest = g.adj[v]
+        while rest:
+            b = rest & -rest
+            acc += w[b.bit_length() - 1]
+            rest ^= b
+        nxt.append(acc)
+    return nxt
 
 
 def weighted_adjacency(g: Graph, weights: dict[tuple[int, int], float]) -> np.ndarray:

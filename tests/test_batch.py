@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from turanlab import batch as bt
 from turanlab import graph as gr
@@ -36,7 +37,7 @@ def assert_context_rows_match(bctx, i, sctx, tol=1e-10):
 def test_batch_matches_scalar_exhaustive_n_le_4():
     for n in (1, 2, 3, 4):
         masks = np.arange(1 << (n * (n - 1) // 2), dtype=np.int64)
-        bctx = bt.BatchContext(n, masks, walk_rs=(1, 2, 3))
+        bctx = bt.BatchContext(n, masks)
         for mask in masks:
             sctx = iq.GraphContext(gr.from_edge_mask(n, int(mask)))
             assert_context_rows_match(bctx, int(mask), sctx)
@@ -45,7 +46,7 @@ def test_batch_matches_scalar_exhaustive_n_le_4():
 def test_batch_matches_scalar_sampled_n7():
     rng = np.random.default_rng(41)
     masks = rng.integers(0, 1 << 21, size=300, dtype=np.int64)
-    bctx = bt.BatchContext(7, masks, walk_rs=(1, 2, 3))
+    bctx = bt.BatchContext(7, masks)
     for i, mask in enumerate(masks):
         sctx = iq.GraphContext(gr.from_edge_mask(7, int(mask)))
         assert_context_rows_match(bctx, i, sctx)
@@ -55,7 +56,7 @@ def test_batch_checks_match_scalar_results():
     rng = np.random.default_rng(42)
     masks = rng.integers(0, 1 << 15, size=200, dtype=np.int64)
     ids = iq.expand_check_ids("all", walk_rs=(1, 2, 3))
-    bctx = bt.BatchContext(6, masks, walk_rs=(1, 2, 3))
+    bctx = bt.BatchContext(6, masks)
     for cid in ids:
         entry, r = iq.parse_check_id(cid)
         lhs = np.broadcast_to(np.asarray(entry.lhs(bctx, r), dtype=np.float64), (len(masks),))
@@ -81,10 +82,36 @@ def test_triangle_cross_oracle_exact_n7():
 
 def test_diamond_free_edge_identity_vectorized():
     masks = np.arange(1 << 10, dtype=np.int64)
-    bctx = bt.BatchContext(5, masks, walk_rs=())
+    bctx = bt.BatchContext(5, masks)
     df = bctx.diamond_free
     # 3 * sum_e 2(1 - 1/c(e)) = 3m + 3t exactly on diamond-free graphs.
     lhs = 3 * bctx.ce2_count + 4 * bctx.ce3_count
     rhs = 3 * (bctx.m + bctx.t)
     assert np.array_equal(lhs[df], rhs[df])
     assert df.sum() > 100
+
+
+def test_connectivity_squares_enough_for_long_paths():
+    for n in (8, 9, 10, 11):
+        bctx = bt.BatchContext(n, np.array([gr.path(n).edge_mask()]))
+        assert bctx.connected.tolist() == [True], n
+    rng = np.random.default_rng(7)
+    masks = rng.integers(0, 1 << 45, size=200, dtype=np.int64) & rng.integers(0, 1 << 45, size=200, dtype=np.int64)
+    bctx = bt.BatchContext(10, masks)
+    want = [gr.is_connected(gr.from_edge_mask(10, int(m))) for m in masks]
+    assert bctx.connected.tolist() == want
+
+
+def test_order_beyond_int64_edge_masks_rejected():
+    bt.BatchContext(11, np.array([(1 << 55) - 1]))
+    with pytest.raises(ValueError, match="n <= 11"):
+        bt.BatchContext(12, np.array([0]))
+
+
+def test_walk_counts_beyond_int64_rejected():
+    k10 = bt.BatchContext(10, np.array([(1 << 45) - 1]))
+    assert k10.walk_total(20)[0] == pytest.approx(10 * 9**19, rel=1e-12)
+    k11 = bt.BatchContext(11, np.array([(1 << 55) - 1]))
+    assert k11.walk_total(19)[0] == pytest.approx(11 * 10**18, rel=1e-12)
+    with pytest.raises(OverflowError):
+        k11.walk_total(20)

@@ -92,6 +92,9 @@ def test_graph6_errors_name_offsets():
         gr.from_graph6("~?A?" + "?" * 100)  # order 65
     with pytest.raises(gr.Graph6ParseError):
         gr.from_graph6("B~")  # nonzero padding for n=3
+    with pytest.raises(gr.Graph6ParseError, match="non-ASCII") as exc:
+        gr.from_graph6("Cé")  # '?' after a lossy encoding would read as K4-bar
+    assert exc.value.offset == 1
 
 
 def test_complete_multipartite_octahedron():

@@ -227,6 +227,25 @@ def test_majorization_implies_p_norm_order(xs, scales, p):
     assert iq.p_norm(y, p) <= iq.p_norm(x, p) + 1e-7 * (1 + iq.p_norm(x, p))
 
 
+RELABEL_IDS = iq.expand_check_ids("all")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_check_values_invariant_under_relabeling(data):
+    n = data.draw(st.integers(1, 9))
+    pairs = gr.lex_pairs(n)
+    picks = data.draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    perm = data.draw(st.permutations(range(n)))
+    g = gr.from_edges(n, picks)
+    h = gr.from_edges(n, [(perm[u], perm[v]) for u, v in picks])
+    for a, b in zip(iq.check_all(g, RELABEL_IDS), iq.check_all(h, RELABEL_IDS)):
+        assert a.id == b.id
+        for x, y in ((a.lhs, b.lhs), (a.rhs, b.rhs)):
+            assert abs(x - y) <= 1e-9 * max(1.0, abs(x), abs(y)), (a.id, x, y)
+        assert (a.applicable, a.holds) == (b.applicable, b.holds), a.id
+
+
 def test_majorization_equality_iff_equal():
     x = (5.0, 3.0, 1.0)
     assert iq.weak_majorizes(x, x) and iq.weak_majorizes(x, x)

@@ -89,6 +89,43 @@ def test_negative_margin_flags_equalities_and_stops():
     assert report.violations[0]["graph6"] == gr.to_graph6(gr.empty(3))
 
 
+def test_violation_records_agree_across_sources():
+    tol = iq.Tolerances(holds_rtol=-1e-6)
+    enum = sc.scan(sc.EnumerationSource(4), ["bn"], sc.ScanOptions(tol=tol))
+    labels = tuple(v["graph6"] for v in enum.violations)
+    assert "C?" in labels
+    g6 = sc.scan(sc.Graph6Source(lines=labels), ["bn"], sc.ScanOptions(tol=tol))
+    assert len(g6.violations) == len(enum.violations)
+    by_label = {v["graph6"]: v for v in g6.violations}
+    empty = next(v for v in enum.violations if v["graph6"] == "C?")
+    assert empty == by_label["C?"]
+    assert empty["notes"] == "disconnected input"
+    for v in enum.violations:
+        w = by_label[v["graph6"]]
+        assert set(v) == set(w)
+        assert v.get("notes") == w.get("notes")
+        for key in ("lhs", "rhs", "slack"):
+            assert v[key] == pytest.approx(w[key], rel=1e-12, abs=1e-12)
+
+
+def test_graph6_file_closed_and_non_ascii_lines(tmp_path):
+    import gc
+    import warnings
+
+    f = tmp_path / "corpus.g6"
+    f.write_bytes(b"A_\nC\xc3\xa9\nA?\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        report = sc.scan(sc.Graph6Source(path=str(f)), ["wilf"])
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+    assert report.graphs_processed == 2
+    assert [e["line"] for e in report.parse_errors] == [2]
+    assert "non-ASCII" in report.parse_errors[0]["error"]
+    with pytest.raises(sc.ScanError, match="line 2"):
+        sc.scan(sc.Graph6Source(path=str(f)), ["wilf"], sc.ScanOptions(strict_parse=True))
+
+
 def test_exit_semantics_violations_list_fields():
     tol = iq.Tolerances(holds_rtol=-1e-6)
     report = sc.scan(sc.EnumerationSource(3), ["wilf"], sc.ScanOptions(tol=tol))
@@ -105,6 +142,15 @@ def test_time_budget_partial():
     )
     assert report.partial
     assert report.graphs_processed < 1 << 21
+    # A budget that runs out on the last unit leaves no input unevaluated.
+    for source, graphs in (
+        (sc.Graph6Source(lines=("A_",)), 1),
+        (sc.RandomSource(n=6, p=0.5, trials=1, seed=0), 1),
+        (sc.EnumerationSource(4), 64),
+    ):
+        report = sc.scan(source, ["wilf"], sc.ScanOptions(time_budget_s=0.0))
+        assert not report.partial, source
+        assert report.graphs_processed == graphs, source
 
 
 def test_extremal_search_wilf_n5():
