@@ -127,13 +127,16 @@ def cmd_check(args) -> int:
     return 1 if binding else 0
 
 
-def cmd_scan(args) -> int:
+def _scan_source(args) -> EnumerationSource | Graph6Source:
     if (args.enumerate is None) == (args.g6 is None):
-        raise ScanError("scan needs exactly one of --enumerate N or --g6 FILE|-")
+        raise ScanError(f"{args.command} needs exactly one of --enumerate N or --g6 FILE|-")
     if args.enumerate is not None:
-        source = EnumerationSource(args.enumerate)
-    else:
-        source = Graph6Source(path=args.g6)
+        return EnumerationSource(args.enumerate)
+    return Graph6Source(path=args.g6)
+
+
+def cmd_scan(args) -> int:
+    source = _scan_source(args)
     index_range = None
     if args.range:
         lo, _, hi = args.range.partition(":")
@@ -193,11 +196,7 @@ def cmd_walks(args) -> int:
 
 
 def cmd_extremal(args) -> int:
-    if (args.enumerate is None) == (args.g6 is None):
-        raise ScanError("extremal needs exactly one of --enumerate N or --g6 FILE|-")
-    source = EnumerationSource(args.enumerate) if args.enumerate is not None \
-        else Graph6Source(path=args.g6)
-    top = extremal_search(source, args.id, args.top_k,
+    top = extremal_search(_scan_source(args), args.id, args.top_k,
                           ScanOptions(connected_only=args.connected))
     _print(top)
     return 0

@@ -175,42 +175,48 @@ def from_numpy(a: np.ndarray) -> Graph:
 
 
 def from_graph6(text: str) -> Graph:
-    """Decode one graph6 line into a labeled graph (order <= 64)."""
-    line = text.strip()
+    """Decode one graph6 line into a labeled graph (order <= 64).
+
+    Error offsets count from the start of ``text``: leading whitespace and a
+    ``>>graph6<<`` header are counted too.
+    """
+    line = text.rstrip()
+    start = len(line) - len(line.lstrip())
+    if line.startswith(">>graph6<<", start):
+        start += len(">>graph6<<")
+    line = line[start:]
     if not line:
-        raise Graph6ParseError("empty graph6 line", 0)
-    if line.startswith(">>graph6<<"):
-        line = line[len(">>graph6<<"):]
+        raise Graph6ParseError("empty graph6 line", start)
     if not line.isascii():
         bad = next(i for i, ch in enumerate(line) if not ch.isascii())
-        raise Graph6ParseError("non-ASCII character", bad)
+        raise Graph6ParseError("non-ASCII character", start + bad)
     data = line.encode("ascii")
-    pos = 0
     if data[0] == 126:  # '~': multi-byte order
         if len(data) >= 2 and data[1] == 126:
-            raise Graph6ParseError("8-byte order form exceeds supported range", 1)
+            raise Graph6ParseError("8-byte order form exceeds supported range", start + 1)
         if len(data) < 4:
-            raise Graph6ParseError("truncated multi-byte order", len(data))
+            raise Graph6ParseError("truncated multi-byte order", start + len(data))
         n = 0
         for i in range(1, 4):
             c = data[i] - 63
             if not 0 <= c < 64:
-                raise Graph6ParseError("order byte outside graph6 range", i)
+                raise Graph6ParseError("order byte outside graph6 range", start + i)
             n = n << 6 | c
         pos = 4
     else:
         n = data[0] - 63
         if not 0 <= n < 63:
-            raise Graph6ParseError("malformed header byte", 0)
+            raise Graph6ParseError("malformed header byte", start)
         pos = 1
     if n < 1:
-        raise Graph6ParseError("graph6 order 0 not supported", 0)
+        raise Graph6ParseError("graph6 order 0 not supported", start)
     if n > GRAPH6_MAX_ORDER:
-        raise Graph6ParseError(f"order {n} exceeds the {GRAPH6_MAX_ORDER}-vertex cap", 0)
+        raise Graph6ParseError(f"order {n} exceeds the {GRAPH6_MAX_ORDER}-vertex cap", start)
 
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
     body = data[pos:]
+    pos += start  # offset of the body in text
     if len(body) < nbytes:
         raise Graph6ParseError("truncated bit body", pos + len(body))
     if len(body) > nbytes:

@@ -20,7 +20,6 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from . import batch as bt
-from .cliques import EXACT_ORDER_CAP
 from .graph import (
     ENUMERATION_MAX_ORDER,
     GRAPH6_MAX_ORDER,
@@ -261,10 +260,7 @@ def _enum_chunk(n: int, ids: tuple[str, ...], options: ScanOptions, lo: int, hi:
         lhs = np.broadcast_to(np.asarray(entry.lhs(ctx, r), dtype=np.float64), (len(masks),))
         rhs = np.broadcast_to(np.asarray(entry.rhs(ctx, r), dtype=np.float64), (len(masks),))
         app = np.broadcast_to(np.asarray(entry.applicable(ctx, r), dtype=bool), (len(masks),))
-        slack = rhs - lhs
-        htol = tol.holds_tol(lhs, rhs)
-        holds = slack > -htol if entry.strict else slack >= -htol
-        eq = np.abs(slack) <= tol.equality_tol(lhs, rhs)
+        slack, holds, eq = tol.verdict(lhs, rhs, entry.strict)
         viol = keep & app & ~holds
         evals[cid] = (entry, lhs, rhs, app & keep, slack, eq, viol)
         bad = np.flatnonzero(viol)
@@ -534,8 +530,10 @@ def random_experiment(
                         "s_plus_over_n2", "s_minus_over_n2",
                         "omega", "mean_c_v", "mean_c_e")
     }
+    exact: list[bool] = []
 
     def observe(ctx: GraphContext):
+        exact.append(ctx.exact_cliques)
         samples["lambda1_over_n"].append(float(ctx.lam1) / n)
         samples["lambda2_over_sqrt_n"].append(float(ctx.lam2) / np.sqrt(n))
         samples["s_plus_over_n2"].append(float(ctx.s_plus) / n**2)
@@ -556,5 +554,5 @@ def random_experiment(
     return RandomExperiment(
         n=n, p=p, trials=report.graphs_processed, seed=seed, stats=stats,
         violations={cid: report.checks[cid]["violations"] for cid in checks},
-        clique_exact=n <= EXACT_ORDER_CAP, partial=report.partial,
+        clique_exact=all(exact), partial=report.partial,
     )

@@ -3,8 +3,8 @@
 Eigenvalues come from LAPACK's symmetric solver (Householder
 tridiagonalization plus implicit-shift QL/QR under the hood, via
 ``numpy.linalg``).  Sign classification for the square energies uses a
-relative threshold: eigenvalues within ``sign_threshold`` of zero join
-neither s+ nor s-.
+relative threshold: eigenvalues within SIGN_RTOL * max(1, lambda1) of zero
+join neither s+ nor s-.
 
 Walk counts are kept in exact integer arithmetic (w_{r+1}(v) is the plain
 neighbor sum of w_r), never floating matrix powers.
@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .graph import Graph
 
-DEFAULT_SIGN_RTOL = 1e-8
+SIGN_RTOL = 1e-8
 RESIDUAL_RTOL = 1e-8
 
 
@@ -27,16 +28,40 @@ class SpectralError(RuntimeError):
     """Eigensolver failure; message carries a fingerprint of the matrix."""
 
 
+class SpectralFields(NamedTuple):
+    lam1: np.ndarray
+    lam2: np.ndarray
+    s_plus: np.ndarray
+    s_minus: np.ndarray
+
+
+def sign_masks(desc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues above and below the zero band |x| <= SIGN_RTOL * max(1, lambda1)."""
+    thr = SIGN_RTOL * np.maximum(1.0, desc[..., :1])
+    return desc > thr, desc < -thr
+
+
+def spectral_fields(desc: np.ndarray) -> SpectralFields:
+    """lambda1, lambda2, s+ and s- of descending eigenvalues, over the last axis.
+
+    ``desc`` is one spectrum (1-D) or one spectrum per row (2-D); both reduce
+    with the same masked sum, so a batch row and a single graph agree bit for
+    bit.
+    """
+    pos, neg = sign_masks(desc)
+    sq = desc * desc
+    # Single-vertex graphs have no second eigenvalue; 0 keeps the
+    # two-eigenvalue bounds well-defined (and exact: lhs is then lam1^2).
+    lam2 = desc[..., 1] if desc.shape[-1] >= 2 else np.zeros(desc.shape[:-1])[()]
+    return SpectralFields(desc[..., 0], lam2,
+                          np.sum(sq, axis=-1, where=pos), np.sum(sq, axis=-1, where=neg))
+
+
 @dataclass(frozen=True)
 class Spectrum:
     """Real adjacency spectrum, sorted descending, with square energies."""
 
     eigenvalues: np.ndarray
-    sign_threshold: float
-    s_plus: float
-    s_minus: float
-    n_plus: int
-    n_minus: int
 
     @property
     def n(self) -> int:
@@ -48,9 +73,23 @@ class Spectrum:
 
     @property
     def lambda2(self) -> float:
-        # Single-vertex graphs have no second eigenvalue; 0 keeps the
-        # two-eigenvalue bounds well-defined (and exact: lhs is then lam1^2).
-        return float(self.eigenvalues[1]) if self.n >= 2 else 0.0
+        return float(spectral_fields(self.eigenvalues).lam2)
+
+    @property
+    def s_plus(self) -> float:
+        return float(spectral_fields(self.eigenvalues).s_plus)
+
+    @property
+    def s_minus(self) -> float:
+        return float(spectral_fields(self.eigenvalues).s_minus)
+
+    @property
+    def n_plus(self) -> int:
+        return int(sign_masks(self.eigenvalues)[0].sum())
+
+    @property
+    def n_minus(self) -> int:
+        return int(sign_masks(self.eigenvalues)[1].sum())
 
     def power_sum(self, p: int = 3) -> float:
         return float(np.sum(self.eigenvalues**p))
@@ -60,20 +99,7 @@ def _fingerprint(a: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()[:16]
 
 
-def classify(eigs_desc: np.ndarray, sign_threshold: float) -> tuple[float, float, int, int]:
-    """(s_plus, s_minus, n_plus, n_minus) under the given zero threshold."""
-    pos = eigs_desc > sign_threshold
-    neg = eigs_desc < -sign_threshold
-    s_plus = float(np.sum(eigs_desc[pos] ** 2))
-    s_minus = float(np.sum(eigs_desc[neg] ** 2))
-    return s_plus, s_minus, int(pos.sum()), int(neg.sum())
-
-
-def eigenvalues(
-    g: Graph | np.ndarray,
-    sign_rtol: float = DEFAULT_SIGN_RTOL,
-    verify: bool = True,
-) -> Spectrum:
+def eigenvalues(g: Graph | np.ndarray, verify: bool = True) -> Spectrum:
     """Full real spectrum of the adjacency matrix, descending.
 
     With ``verify`` the solver recomputes eigenvectors and checks the
@@ -91,9 +117,8 @@ def eigenvalues(
         raise SpectralError(
             f"eigensolver did not converge (matrix fingerprint {_fingerprint(a)})"
         ) from exc
-    lam1 = float(vals[-1]) if len(vals) else 0.0
     if vecs is not None and len(vals) > 1:
-        tol = RESIDUAL_RTOL * max(1.0, abs(lam1))
+        tol = RESIDUAL_RTOL * max(1.0, abs(float(vals[-1])))
         idx = sorted({0, len(vals) // 2, len(vals) - 1})
         for i in idx:
             res = np.linalg.norm(a @ vecs[:, i] - vals[i] * vecs[:, i])
@@ -102,16 +127,12 @@ def eigenvalues(
                     f"residual {res:.3e} exceeds {tol:.3e} "
                     f"(matrix fingerprint {_fingerprint(a)})"
                 )
-    desc = vals[::-1].copy()
-    thr = sign_rtol * max(1.0, lam1)
-    s_plus, s_minus, n_plus, n_minus = classify(desc, thr)
-    return Spectrum(desc, thr, s_plus, s_minus, n_plus, n_minus)
+    return Spectrum(vals[::-1].copy())
 
 
 def square_energies(s: Spectrum) -> tuple[float, float]:
     """Recompute (s_plus, s_minus) from the stored eigenvalues."""
-    sp, sm, _, _ = classify(s.eigenvalues, s.sign_threshold)
-    return sp, sm
+    return s.s_plus, s.s_minus
 
 
 def power_sum(s: Spectrum, p: int = 3) -> float:

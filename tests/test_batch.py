@@ -45,11 +45,24 @@ def test_batch_matches_scalar_exhaustive_n_le_4():
 
 def test_batch_matches_scalar_sampled_n7():
     rng = np.random.default_rng(41)
-    masks = rng.integers(0, 1 << 21, size=300, dtype=np.int64)
-    bctx = bt.BatchContext(7, masks)
-    for i, mask in enumerate(masks):
-        sctx = iq.GraphContext(gr.from_edge_mask(7, int(mask)))
-        assert_context_rows_match(bctx, i, sctx)
+    for n in (7, 8, 9, 10, 11):
+        masks = rng.integers(0, 1 << (n * (n - 1) // 2), size=300 if n == 7 else 100, dtype=np.int64)
+        bctx = bt.BatchContext(n, masks)
+        for i, mask in enumerate(masks):
+            sctx = iq.GraphContext(gr.from_edge_mask(n, int(mask)))
+            assert_context_rows_match(bctx, i, sctx)
+
+
+def test_batch_spectral_fields_equal_scalar_bitwise():
+    rng = np.random.default_rng(43)
+    for n in range(1, 12):
+        nbits = n * (n - 1) // 2
+        masks = rng.integers(0, 1 << nbits, size=200, dtype=np.int64) if nbits else np.zeros(3, dtype=np.int64)
+        bctx = bt.BatchContext(n, masks)
+        for i, mask in enumerate(masks):
+            sctx = iq.GraphContext(gr.from_edge_mask(n, int(mask)))
+            for name in ("lam1", "lam2", "s_plus", "s_minus"):
+                assert getattr(bctx, name)[i] == getattr(sctx, name), (n, int(mask), name)
 
 
 def test_batch_checks_match_scalar_results():

@@ -95,6 +95,11 @@ def test_graph6_errors_name_offsets():
     with pytest.raises(gr.Graph6ParseError, match="non-ASCII") as exc:
         gr.from_graph6("Cé")  # '?' after a lossy encoding would read as K4-bar
     assert exc.value.offset == 1
+    # Offsets count from the start of the text passed in.
+    for text, offset in ((">>graph6<<A", 11), (" A", 2), (">>graph6<<Cé", 11), (">>graph6<<", 10)):
+        with pytest.raises(gr.Graph6ParseError) as exc:
+            gr.from_graph6(text)
+        assert exc.value.offset == offset, text
 
 
 def test_complete_multipartite_octahedron():
