@@ -1,14 +1,15 @@
-"""Vectorized per-chunk evaluation for the labeled-graph enumeration scans.
+"""Vectorized evaluation of a chunk of small graphs given as edge masks.
 
 A chunk of graphs on n <= 11 vertices is a vector of int64 edge masks (bit
 k of a mask is the k-th pair in lexicographic order).  ``BatchContext``
 computes the base arrays with batched numpy kernels:
 
  * the spectrum: one stacked ``eigvalsh`` call,
- * c(e): the subset table.  A vertex subset S is a clique of mask M iff
-   required_edges(S) & ~M == 0, so one boolean (chunk x subsets) matrix
-   gives each edge slot the largest clique through both endpoints,
- * c(v): the largest c(e) over the edges at v, and 1 on isolated vertices,
+ * the clique table: a vertex subset S is a clique iff S minus its top
+   vertex v is a clique inside N(v), which fills one boolean (chunk x 2^n)
+   table in n slices; a subset-max pass turns it into the largest clique
+   inside every subset, so c(v) = 1 + that of N(v) and an edge uv has
+   c(uv) = 2 + that of N(u) & N(v),
  * per-edge triangle counts: A^2 at the edge slots, which give t (their sum
    over 3) and diamond-freeness (no edge in two triangles),
  * walk counts: repeated int64 matmuls, extended on demand,
@@ -27,7 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from .graph import lex_pairs
-from .inequalities import DerivedFields
+from .inequalities import WALK_R_MAX, DerivedFields
 
 
 @dataclass(frozen=True)
@@ -35,32 +36,49 @@ class SubsetTables:
     pairs: tuple[tuple[int, int], ...]
     pair_u: np.ndarray
     pair_v: np.ndarray
-    sub_req: np.ndarray      # required edge mask per nonempty vertex subset
-    sub_pc: np.ndarray       # subset cardinality
-    pair_idx: tuple[np.ndarray, ...]   # subsets containing both endpoints of pair k
+    sub_size: np.ndarray     # int8 cardinality of every vertex subset, the empty one first
 
 
 @lru_cache(maxsize=None)
 def subset_tables(n: int) -> SubsetTables:
     pairs = tuple(lex_pairs(n))
-    subs = np.arange(1, 1 << n, dtype=np.int64)
+    subs = np.arange(1 << n, dtype=np.int64)
     member = (subs[:, None] >> np.arange(n, dtype=np.int64)[None, :]) & 1
-    both = [member[:, u] & member[:, v] for u, v in pairs]
-    req = np.zeros(len(subs), dtype=np.int64)
-    for k, b in enumerate(both):
-        req |= b << k
     return SubsetTables(
         pairs=pairs,
         pair_u=np.array([p[0] for p in pairs], dtype=np.int64),
         pair_v=np.array([p[1] for p in pairs], dtype=np.int64),
-        sub_req=req,
-        sub_pc=member.sum(axis=1),
-        pair_idx=tuple(np.flatnonzero(b) for b in both),
+        sub_size=member.sum(axis=1).astype(np.int8),
     )
+
+
+def _clique_numbers(tab: SubsetTables, nbr: np.ndarray, edge_present: np.ndarray):
+    """c(v) per vertex and c(e) per pair slot (0 on a non-edge) of every row."""
+    B, n = nbr.shape
+    full = 1 << n
+    clique = np.ones((B, full), dtype=bool)
+    for v in range(n):
+        low = np.arange(1 << v, dtype=np.int16)
+        np.logical_and(clique[:, :1 << v], (nbr[:, v, None] & low) == low,
+                       out=clique[:, 1 << v:2 << v])
+    # Subset-max over one vertex at a time: best[S] = the largest clique inside S.
+    best = clique * tab.sub_size
+    for i in range(n):
+        half = best.reshape(B, full >> (i + 1), 2, 1 << i)
+        np.maximum(half[:, :, 1], half[:, :, 0], out=half[:, :, 1])
+    c_v = 1 + np.take_along_axis(best, nbr.astype(np.intp), axis=1).astype(np.int64)
+    common = (nbr[:, tab.pair_u] & nbr[:, tab.pair_v]).astype(np.intp)
+    c_e = (2 + np.take_along_axis(best, common, axis=1).astype(np.int64)) * edge_present
+    return c_v, c_e
 
 
 # C(11, 2) = 55 pair bits are the most an int64 edge mask holds.
 BATCH_MAX_ORDER = 11
+# The largest order at which every walk count a check can ask for stays in
+# int64 on every graph: w_r(v) <= (n - 1)^(r - 1) and r <= 2 * WALK_R_MAX.
+# At n = 11 the walk table of K_11 leaves int64 at w_20.
+WALK_SAFE_MAX_ORDER = max(n for n in range(1, BATCH_MAX_ORDER + 1)
+                          if (n - 1) ** (2 * WALK_R_MAX - 1) < 2**63)
 
 
 class BatchContext(DerivedFields):
@@ -94,16 +112,9 @@ class BatchContext(DerivedFields):
         self.t = tri_per_edge.sum(axis=1) // 3
         self.diamond_free = (tri_per_edge <= 1).all(axis=1)
 
-        is_clique = (masks[:, None] & tab.sub_req[None, :]) == tab.sub_req[None, :]
-        pc_masked = np.where(is_clique, tab.sub_pc[None, :], 0)
-        # c(e) of a non-edge is 0: no subset through both endpoints is a clique.
-        c_e = np.zeros((B, nbits), dtype=np.int64)
-        for k in range(nbits):
-            c_e[:, k] = pc_masked[:, tab.pair_idx[k]].max(axis=1)
-        # A largest clique through v with 2 or more vertices contains an edge
-        # at v, and that edge's c(e) is the clique's size.
-        c_v = np.stack([c_e[:, (tab.pair_u == v) | (tab.pair_v == v)].max(axis=1, initial=1)
-                        for v in range(n)], axis=1)
+        # Neighbourhoods as n-bit vertex subsets; n <= 11 fits in int16.
+        nbr = np.matmul(a_int, np.int64(1) << np.arange(n, dtype=np.int64)).astype(np.int16)
+        c_v, c_e = _clique_numbers(tab, nbr, edge_present)
         self.ce3_count = (c_e == 3).sum(axis=1)
         self.ce2_count = (c_e == 2).sum(axis=1)
 

@@ -112,10 +112,11 @@ class Graph:
 
     def edge_mask(self) -> int:
         """Edge set packed into the lexicographic pair-bit order."""
-        mask = 0
-        for k, (u, v) in enumerate(lex_pairs(self.n)):
-            if self.adj[u] >> v & 1:
-                mask |= 1 << k
+        # Row u's neighbours above u fill the pair bits (u, u+1), ..., (u, n-1).
+        mask = offset = 0
+        for u, row in enumerate(self.adj):
+            mask |= row >> (u + 1) << offset
+            offset += self.n - 1 - u
         return mask
 
     def __repr__(self):

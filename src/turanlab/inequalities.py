@@ -96,8 +96,11 @@ class DerivedFields:
     """Catalogue fields derived from a context's base arrays.
 
     The base arrays hold one graph (1-D) or one chunk of graphs (2-D, a row
-    per graph); every sum runs over the last axis, so the per-graph and the
-    batch context add the same operands in the same order.  A subclass sets
+    per graph), and every sum runs over the last axis.  The per-vertex sums
+    add the same operands in the same order in both contexts; ``sum_ce_local``
+    does not, because the batch context sums all n(n-1)/2 pair slots (a
+    non-edge adds exactly 0) while the per-graph context sums its m edges,
+    so the two can differ in the last bits.  A subclass sets
     ``t``, ``diamond_free``, ``connected`` and ``exact_cliques``, calls
     ``_derive`` and supplies ``_walk_step``, which maps the exact w_r to the
     exact w_{r+1}.

@@ -1,7 +1,9 @@
 """Batch verification engine: drive checks over graph sources.
 
-Sources are labeled enumerations (vectorized kernel), graph6 streams
-(per-graph path) and seeded G(n, p) trial sets.  Aggregation is
+Sources are labeled enumerations, graph6 streams and seeded G(n, p) trial
+sets.  The order alone picks the path: graphs on at most
+``batch.WALK_SAFE_MAX_ORDER`` vertices are evaluated in chunks by the
+vectorized kernel, larger ones one at a time.  Aggregation is
 merge-associative per check: counts add, minima combine with a
 (slack, graph6) tie-break, and top-k lists merge by sort-and-trim, so any
 partition of the input over workers reproduces the single-worker report
@@ -12,7 +14,6 @@ from __future__ import annotations
 
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable, Iterator, Sequence
@@ -226,7 +227,8 @@ class ScanReport:
 
 
 # ---------------------------------------------------------------------------
-# Units: each is a call that evaluates one enumeration chunk or one graph.  It
+# Units: each is a call that evaluates one chunk of graphs on the vectorized
+# kernel (an enumeration range or a graph6 run) or one larger graph.  It
 # returns None when it contributes nothing, or its aggregate: "processed",
 # per-check "checks", "violations", "stop" (end the scan after this unit) and
 # "left" (the unit itself left input unevaluated).
@@ -240,9 +242,9 @@ def _violation(label: str, cid: str, lhs: float, rhs: float, slack: float, notes
     return v
 
 
-def _enum_chunk(n: int, ids: tuple[str, ...], options: ScanOptions, lo: int, hi: int) -> dict:
+def _enum_chunk(n: int, ids: tuple[str, ...], options: ScanOptions, masks: np.ndarray) -> dict:
+    """Every check on a chunk of n-vertex graphs given by their lex-order edge masks."""
     tol, top_k = options.tol, options.top_k
-    masks = np.arange(lo, hi, dtype=np.int64)
     ctx = bt.BatchContext(n, masks)
     keep = ctx.connected if options.connected_only else np.ones(len(masks), dtype=bool)
 
@@ -253,37 +255,29 @@ def _enum_chunk(n: int, ids: tuple[str, ...], options: ScanOptions, lo: int, hi:
             g6_cache[mask] = to_graph6(from_edge_mask(n, mask))
         return g6_cache[mask]
 
-    evals = {}
-    first_bad = None
+    evals = []
     for cid in ids:
         entry, r = parse_check_id(cid)
         lhs = np.broadcast_to(np.asarray(entry.lhs(ctx, r), dtype=np.float64), (len(masks),))
         rhs = np.broadcast_to(np.asarray(entry.rhs(ctx, r), dtype=np.float64), (len(masks),))
-        app = np.broadcast_to(np.asarray(entry.applicable(ctx, r), dtype=bool), (len(masks),))
+        app = np.broadcast_to(np.asarray(entry.applicable(ctx, r), dtype=bool), (len(masks),)) & keep
         slack, holds, eq = tol.verdict(lhs, rhs, entry.strict)
-        viol = keep & app & ~holds
-        evals[cid] = (entry, lhs, rhs, app & keep, slack, eq, viol)
-        bad = np.flatnonzero(viol)
-        if len(bad) and (first_bad is None or bad[0] < first_bad):
-            first_bad = int(bad[0])
-
-    stop = options.stop_on_violation and first_bad is not None
-    if stop:
-        upto = np.arange(len(masks)) <= first_bad
-        keep = keep & upto
+        evals.append((entry, lhs, rhs, slack, app, eq & app, app & ~holds))
+    # viol[i, j]: graph i violates check j.  A stop keeps graphs up to the
+    # first violating one, all of whose checks count.
+    viol = np.stack([e[-1] for e in evals], axis=1)
+    bad = np.flatnonzero(viol.any(axis=1))
+    stop = options.stop_on_violation and len(bad) > 0
+    end = int(bad[0]) + 1 if stop else len(masks)
 
     checks = {}
-    violations = []
-    for cid in ids:
-        entry, lhs, rhs, app, slack, eq, viol = evals[cid]
-        if stop:
-            app = app & upto
-            viol = viol & upto
+    for cid, (entry, lhs, rhs, slack, app, eq, bad_j) in zip(ids, evals):
+        app = app[:end]
         c = _new_check_agg()
-        c["checked"] = int(keep.sum())
+        c["checked"] = int(keep[:end].sum())
         c["applicable"] = int(app.sum())
-        c["violations"] = int(viol.sum())
-        c["equalities"] = int((eq & app).sum())
+        c["violations"] = int(bad_j[:end].sum())
+        c["equalities"] = int(eq[:end].sum())
         idx = np.flatnonzero(app)
         if len(idx):
             s = slack[idx]
@@ -294,13 +288,21 @@ def _enum_chunk(n: int, ids: tuple[str, ...], options: ScanOptions, lo: int, hi:
             ranked = sorted((float(slack[i]), g6(int(masks[i]))) for i in cand)
             c["top"] = ranked[:top_k]
             c["min_slack"], c["argmin_graph6"] = ranked[0]
-        for i in np.flatnonzero(viol):
-            notes = result_notes(entry, (), bool(ctx.connected[i]), ctx.exact_cliques, False)
-            violations.append(_violation(g6(int(masks[i])), cid, float(lhs[i]), float(rhs[i]),
-                                         float(slack[i]), notes))
         checks[cid] = c
-    return {"processed": int(keep.sum()), "checks": checks, "violations": violations,
-            "stop": stop, "left": stop and first_bad < len(masks) - 1}
+    # Records in input order, then catalogue order, as on the per-graph path.
+    violations = []
+    for i, j in zip(*np.nonzero(viol[:end])):
+        entry, lhs, rhs, slack = evals[j][:4]
+        notes = result_notes(entry, (), bool(ctx.connected[i]), ctx.exact_cliques, False)
+        violations.append(_violation(g6(int(masks[i])), ids[j], float(lhs[i]), float(rhs[i]),
+                                     float(slack[i]), notes))
+    return {"processed": int(keep[:end].sum()), "checks": checks, "violations": violations,
+            "stop": stop, "left": end < len(masks)}
+
+
+def _enum_range(n: int, ids: tuple[str, ...], options: ScanOptions, lo: int, hi: int) -> dict:
+    # A pool task carries the two ends of its range, not the masks.
+    return _enum_chunk(n, ids, options, np.arange(lo, hi, dtype=np.int64))
 
 
 def _chunk_ranges(lo: int, hi: int) -> list[tuple[int, int]]:
@@ -326,9 +328,12 @@ def _enumeration_units(source: EnumerationSource, ids: list[str], options: ScanO
     lo, hi = options.index_range or (0, total)
     if not (0 <= lo <= hi <= total):
         raise ScanError(f"index range [{lo}, {hi}) outside [0, {total})")
-    chunk = partial(_enum_chunk, n, tuple(ids), options)
+    chunk = partial(_enum_range, n, tuple(ids), options)
     ranges = _chunk_ranges(lo, hi)
     if options.workers > 1 and not options.stop_on_violation and len(ranges) > 1:
+        # Imported here: a one-worker scan does not pay for it.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=options.workers) as pool:
             for agg in pool.map(chunk, *zip(*ranges)):
                 yield lambda agg=agg: agg
@@ -363,24 +368,55 @@ def _evaluate_graph(g: Graph, label: str, ids: list[str], options: ScanOptions,
             "stop": options.stop_on_violation and bool(violations), "left": False}
 
 
+def _run_rows(n: int) -> int:
+    """Most lines of order n in one batched run: its clique table holds no
+    more cells than that of one enumeration chunk at the largest order."""
+    return max(1, CHUNK * ((1 << ENUMERATION_MAX_ORDER) - 1) // ((1 << n) - 1))
+
+
 def _graph6_units(source: Graph6Source, ids: list[str], options: ScanOptions, report: ScanReport):
-    def unit(lineno: int, line: str):
-        try:
-            g = from_graph6(line)
-        except Graph6ParseError as exc:
-            if options.strict_parse:
-                raise ScanError(f"line {lineno}: {exc}") from exc
-            report.parse_errors.append({"line": lineno, "error": str(exc)})
-            return None
+    """Units in input order: one per run of consecutive lines that share one
+    order n <= ``bt.WALK_SAFE_MAX_ORDER`` (at most ``_run_rows(n)`` lines),
+    one per line of larger order and one per parse error."""
+    def parse_error(lineno: int, exc: Graph6ParseError):
+        if options.strict_parse:
+            raise ScanError(f"line {lineno}: {exc}") from exc
+        report.parse_errors.append({"line": lineno, "error": str(exc)})
+
+    def one_graph(g: Graph):
         if options.connected_only and not is_connected(g):
             return None
         return _evaluate_graph(g, to_graph6(g), ids, options)
 
+    run: list[int] = []  # lex-order edge masks of a run of order run_n
+    run_n = 0
+
+    def flush():
+        masks = np.array(run, dtype=np.int64)
+        run.clear()
+        return partial(_enum_chunk, run_n, tuple(ids), options, masks)
+
     try:
         for lineno, raw in enumerate(source.iter_lines(), start=1):
-            line = raw.strip()
-            if line:
-                yield partial(unit, lineno, line)
+            line = raw.rstrip("\n")
+            if not line.strip():
+                continue
+            try:
+                g = from_graph6(line)
+            except Graph6ParseError as exc:
+                if run:
+                    yield flush()
+                yield partial(parse_error, lineno, exc)
+                continue
+            if run and (g.n != run_n or len(run) == _run_rows(run_n)):
+                yield flush()
+            if g.n <= bt.WALK_SAFE_MAX_ORDER:
+                run_n = g.n
+                run.append(g.edge_mask())
+            else:
+                yield partial(one_graph, g)
+        if run:
+            yield flush()
     except OSError as exc:
         raise ScanError(f"unreadable source: {exc}") from exc
 

@@ -237,3 +237,169 @@ def test_theorem_sweep_n5_exhaustive():
                      sc.ScanOptions(connected_only=False, walk_rs=(1, 2, 3)))
     assert report.graphs_processed == 1 << 10
     assert report.binding_violations == 0, report.violations[:5]
+
+
+def test_graph6_parse_error_offsets_count_from_line_start():
+    report = sc.scan(sc.Graph6Source(lines=("", "  >>graph6<<A\n", "A_\n")), "wilf")
+    assert report.graphs_processed == 1
+    assert [e["line"] for e in report.parse_errors] == [2]
+    assert report.parse_errors[0]["error"].endswith("(byte offset 13)")
+
+
+# ---------------------------------------------------------------------------
+# graph6 routing: lines of order <= 10 run through the batch kernel in runs,
+# larger ones through the per-graph path.
+# ---------------------------------------------------------------------------
+
+
+def _mixed_corpus() -> list[str]:
+    """Orders 8-12 in runs and single lines, with blank lines, one malformed
+    line in the middle of a run, disconnected graphs and equality cases."""
+    def gnp(n, k):
+        return gr.to_graph6(gr.random_gnp(n, (0.3, 0.55, 0.8)[k % 3], 17, index=100 * n + k))
+
+    g6 = gr.to_graph6
+    return (
+        [gnp(8, k) for k in range(5)]
+        + ["", gnp(9, 0), "   ", gnp(9, 1), g6(gr.disjoint_union(gr.complete(4), gr.cycle(5)))]
+        + [gnp(11, 0)]
+        + [gnp(10, 0), gnp(10, 1), "!!bogus!!", gnp(10, 2), g6(gr.complete_bipartite(5, 5)),
+           g6(gr.empty(10)), gnp(10, 3)]
+        + [gnp(12, 0), g6(gr.disjoint_union(gr.complete(6), gr.path(6))), gnp(10, 4)]
+        + [gnp(8, 5), g6(gr.complete(8)), "", gnp(8, 6), gnp(11, 1), ">>graph6<<" + gnp(9, 3),
+           gnp(12, 1)]
+    )
+
+
+def _per_line_aggregates(lines, ids, options):
+    """Counts and ranked (slack, label, scale) lists from GraphContext and evaluate_entry."""
+    aggs = {cid: {"checked": 0, "applicable": 0, "violations": 0, "equalities": 0, "ranked": []}
+            for cid in ids}
+    for line in lines:
+        if not line.strip():
+            continue
+        try:
+            g = gr.from_graph6(line)
+        except gr.Graph6ParseError:
+            continue
+        ctx = iq.GraphContext(g)
+        if options.connected_only and not ctx.connected:
+            continue
+        for cid in ids:
+            entry, r = iq.parse_check_id(cid)
+            res = iq.evaluate_entry(entry, ctx, r, options.tol)
+            agg = aggs[cid]
+            agg["checked"] += 1
+            if res.applicable:
+                agg["applicable"] += 1
+                agg["violations"] += int(not res.holds)
+                agg["equalities"] += int(res.equality)
+                agg["ranked"].append((res.slack, gr.to_graph6(g), max(1.0, abs(res.lhs), abs(res.rhs))))
+    for agg in aggs.values():
+        agg["ranked"].sort()
+    return aggs
+
+
+@pytest.mark.parametrize("connected_only", [False, True])
+def test_graph6_routed_aggregates_match_per_line_contexts(connected_only):
+    lines = _mixed_corpus()
+    options = sc.ScanOptions(connected_only=connected_only, top_k=3)
+    report = sc.scan(sc.Graph6Source(lines=tuple(lines)), "all", options)
+    want = _per_line_aggregates(lines, report.check_ids, options)
+    assert [e["line"] for e in report.parse_errors] == [lines.index("!!bogus!!") + 1]
+    for cid in report.check_ids:
+        got, exp = report.checks[cid], want[cid]
+        for key in ("checked", "applicable", "violations", "equalities"):
+            assert got[key] == exp[key], (cid, key)
+        top = exp["ranked"][:3]
+        assert [label for _, label in got["top"]] == [label for _, label, _ in top], cid
+        assert got["argmin_graph6"] == (top[0][1] if top else None), cid
+        for (slack, _), (want_slack, _, scale) in zip(got["top"], top):
+            assert abs(slack - want_slack) <= 1e-12 * scale, cid
+    assert report.graphs_processed == want["wilf"]["checked"]
+
+
+def _scan_fields(lines, checks, options):
+    """(graphs_processed, parse_errors, partial, streamed violations, ScanError text)."""
+    streamed = []
+    try:
+        report = sc.scan(sc.Graph6Source(lines=tuple(lines)), checks, options,
+                         on_violation=streamed.append)
+    except sc.ScanError as exc:
+        return None, None, None, streamed, str(exc)
+    assert streamed == report.violations
+    return report.graphs_processed, report.parse_errors, report.partial, streamed, None
+
+
+def _one_line_at_a_time(lines, checks, options):
+    """The same fields when every line is scanned on its own."""
+    processed, errors, violations = 0, [], []
+    todo = [(lineno, line) for lineno, line in enumerate(lines, start=1) if line.strip()]
+    for pos, (lineno, line) in enumerate(todo):
+        try:
+            report = sc.scan(sc.Graph6Source(lines=(line,)), checks, options)
+        except sc.ScanError as exc:
+            return None, None, None, violations, str(exc).replace("line 1:", f"line {lineno}:", 1)
+        processed += report.graphs_processed
+        errors += [dict(e, line=lineno) for e in report.parse_errors]
+        violations += report.violations
+        if options.stop_on_violation and report.violations:
+            return processed, errors, pos < len(todo) - 1, violations, None
+    return processed, errors, False, violations, None
+
+
+@pytest.mark.parametrize("checks", ["wilf", "all"])
+@pytest.mark.parametrize("connected_only", [False, True])
+@pytest.mark.parametrize("stop_on_violation,strict_parse", [(False, False), (True, False), (False, True)])
+def test_graph6_routed_scan_matches_one_line_at_a_time(checks, connected_only, stop_on_violation,
+                                                       strict_parse):
+    # A negative holds tolerance turns equality cases (K_{5,5}, K_8 and the
+    # edgeless graph for wilf) into violations, so stops happen mid-run.
+    lines = _mixed_corpus()
+    options = sc.ScanOptions(connected_only=connected_only, stop_on_violation=stop_on_violation,
+                             strict_parse=strict_parse, tol=iq.Tolerances(holds_rtol=-1e-6))
+    got = _scan_fields(lines, checks, options)
+    assert got == _one_line_at_a_time(lines, checks, options)
+    if stop_on_violation:
+        assert got[2] and got[3]
+    if strict_parse:
+        assert got[4].startswith(f"line {lines.index('!!bogus!!') + 1}:")
+
+
+def test_graph6_only_small_orders_reach_batch_kernel(monkeypatch):
+    batches, singles = [], []
+    real_batch, real_single = sc.bt.BatchContext, sc.GraphContext
+
+    def batch(n, masks):
+        batches.append((n, len(masks)))
+        return real_batch(n, masks)
+
+    def single(g, *args, **kwargs):
+        singles.append(g.n)
+        return real_single(g, *args, **kwargs)
+
+    monkeypatch.setattr(sc.bt, "BatchContext", batch)
+    monkeypatch.setattr(sc, "GraphContext", single)
+    report = sc.scan(sc.Graph6Source(lines=tuple(_mixed_corpus())), ["wilf"])
+    # A run ends at a change of order, a larger order or a parse error.
+    assert batches == [(8, 5), (9, 3), (10, 2), (10, 4), (10, 1), (8, 3), (9, 1)]
+    assert singles == [11, 12, 12, 11, 12]
+    assert report.graphs_processed == sum(rows for _, rows in batches) + len(singles)
+
+
+def test_graph6_runs_stay_within_one_enumeration_chunk(monkeypatch):
+    rows = []
+    real_batch = sc.bt.BatchContext
+
+    def batch(n, masks):
+        rows.append(len(masks))
+        return real_batch(n, masks)
+
+    monkeypatch.setattr(sc.bt, "BatchContext", batch)
+    rng = np.random.default_rng(3)
+    distinct = [gr.to_graph6(gr.from_edge_mask(10, int(m))) for m in rng.integers(0, 1 << 45, 50)]
+    report = sc.scan(sc.Graph6Source(lines=tuple(distinct * 100)), ["wilf"])
+    assert report.graphs_processed == 5000
+    assert sum(rows) == 5000 and len(rows) == 3
+    assert max(rows) <= 2048
+    assert max(rows) * ((1 << 10) - 1) <= sc.CHUNK * ((1 << 7) - 1)
