@@ -12,7 +12,9 @@ computes the base arrays with batched numpy kernels:
    c(uv) = 2 + that of N(u) & N(v),
  * per-edge triangle counts: A^2 at the edge slots, which give t (their sum
    over 3) and diamond-freeness (no edge in two triangles),
- * walk counts: repeated int64 matmuls, extended on demand,
+ * walk counts: ``spectra.walk_step``, the same exact step as the
+   per-graph context, one uint64 matmul per step; the bound (n - 1)^19 of
+   w_20 stays below 2^64 at every n <= 11, so no residue channel is added,
  * connectivity: boolean matrix squaring.
 
 Every other catalogue field comes from the same ``DerivedFields`` as the
@@ -28,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from .graph import lex_pairs
-from .inequalities import WALK_R_MAX, DerivedFields
+from .inequalities import DerivedFields
 
 
 @dataclass(frozen=True)
@@ -74,11 +76,6 @@ def _clique_numbers(tab: SubsetTables, nbr: np.ndarray, edge_present: np.ndarray
 
 # C(11, 2) = 55 pair bits are the most an int64 edge mask holds.
 BATCH_MAX_ORDER = 11
-# The largest order at which every walk count a check can ask for stays in
-# int64 on every graph: w_r(v) <= (n - 1)^(r - 1) and r <= 2 * WALK_R_MAX.
-# At n = 11 the walk table of K_11 leaves int64 at w_20.
-WALK_SAFE_MAX_ORDER = max(n for n in range(1, BATCH_MAX_ORDER + 1)
-                          if (n - 1) ** (2 * WALK_R_MAX - 1) < 2**63)
 
 
 class BatchContext(DerivedFields):
@@ -118,15 +115,8 @@ class BatchContext(DerivedFields):
         self.ce3_count = (c_e == 3).sum(axis=1)
         self.ce2_count = (c_e == 2).sum(axis=1)
 
-        self._adj = a_int
-        self._deg_max = float(degrees.max(initial=0))
         # Non-edge slots enter the c(e) sum as c = 1, which adds exactly 0.
+        # The 0/1 int64 adjacency is the same bits as uint64, so the walk
+        # step reads it as it is.
         self._derive(eigs[:, ::-1], degrees, c_v, np.maximum(c_e, 1).astype(np.float64),
-                     np.ones((B, n), dtype=np.int64))
-
-    def _walk_step(self, w):
-        # No w_{r+1}(v) exceeds the chunk's largest degree times its largest
-        # w_r entry; refuse a step whose bound leaves int64.
-        if self._deg_max * float(w.max(initial=0)) >= 2.0**63:
-            raise OverflowError("walk counts exceed int64 at this order and walk length")
-        return np.matmul(self._adj, w[:, :, None])[:, :, 0]
+                     a_int.view(np.uint64))

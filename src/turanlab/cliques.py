@@ -36,8 +36,10 @@ class CliqueProfile:
     exact: bool = True
 
     def __post_init__(self):
-        assert all(1 <= c <= self.omega for c in self.c_v)
-        assert max(self.c_v) == self.omega or not self.c_v
+        if not all(1 <= c <= self.omega for c in self.c_v):
+            raise ValueError(f"c(v) outside [1, omega = {self.omega}]")
+        if self.c_v and max(self.c_v) != self.omega:
+            raise ValueError(f"omega = {self.omega} but max c(v) = {max(self.c_v)}")
 
 
 def _greedy_clique(adj: tuple[int, ...], universe: int) -> int:
@@ -124,7 +126,8 @@ def triangle_count(g: Graph) -> int:
     """Exact t(G) via neighbor-mask intersections (each triangle hits 3 edges)."""
     adj = g.adj
     total = sum((adj[u] & adj[v]).bit_count() for u, v in g.edges)
-    assert total % 3 == 0
+    if total % 3:
+        raise ValueError(f"edge triangle counts sum to {total}, not a multiple of 3")
     return total // 3
 
 

@@ -103,12 +103,12 @@ class Graph:
         return bool(self.adj[u] >> v & 1)
 
     def dense(self, dtype=np.float64) -> np.ndarray:
-        """Dense adjacency matrix view (fed to the eigensolver)."""
-        a = np.zeros((self.n, self.n), dtype=np.uint8)
-        for v, row in enumerate(self.adj):
-            if row:
-                a[v, list(_bits(row))] = 1
-        return a.astype(dtype, copy=False)
+        """Dense 0/1 adjacency matrix (fed to the eigensolver and the walk step)."""
+        width = (self.n + 7) // 8
+        rows = np.frombuffer(b"".join(row.to_bytes(width, "little") for row in self.adj),
+                             dtype=np.uint8).reshape(self.n, width)
+        bits = np.unpackbits(rows, axis=1, count=self.n, bitorder="little")
+        return bits.astype(dtype, copy=False)
 
     def edge_mask(self) -> int:
         """Edge set packed into the lexicographic pair-bit order."""
@@ -121,13 +121,6 @@ class Graph:
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m})"
-
-
-def _bits(mask: int) -> Iterator[int]:
-    while mask:
-        b = mask & -mask
-        yield b.bit_length() - 1
-        mask ^= b
 
 
 def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:

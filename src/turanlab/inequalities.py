@@ -101,14 +101,16 @@ class DerivedFields:
     does not, because the batch context sums all n(n-1)/2 pair slots (a
     non-edge adds exactly 0) while the per-graph context sums its m edges,
     so the two can differ in the last bits.  A subclass sets
-    ``t``, ``diamond_free``, ``connected`` and ``exact_cliques``, calls
-    ``_derive`` and supplies ``_walk_step``, which maps the exact w_r to the
-    exact w_{r+1}.
+    ``t``, ``diamond_free``, ``connected`` and ``exact_cliques`` and calls
+    ``_derive``.  Both contexts extend one exact walk table with the same
+    ``spectra.walk_step``, so their walk fields agree bit for bit.  A chunk
+    holds graphs on n <= 11 vertices, where every walk count up to w_20 stays
+    in the step's uint64 channel; a larger graph may add residue channels.
     """
 
-    def _derive(self, eigenvalues, degrees, c_v, c_e, walks1):
+    def _derive(self, eigenvalues, degrees, c_v, c_e, adj):
         """eigenvalues: descending spectrum; degrees, c_v: integers per vertex;
-        c_e: float c(e) per edge slot; walks1: w_1."""
+        c_e: float c(e) per edge slot; adj: the 0/1 integer adjacency."""
         self.eigenvalues = eigenvalues
         self.lam1, self.lam2, self.s_plus, self.s_minus = spectra.spectral_fields(eigenvalues)
         self.n = degrees.shape[-1]
@@ -129,13 +131,14 @@ class DerivedFields:
         # Weighted-check fields default to the unit-weight specialization.
         self.w_lam1 = self.lam1
         self.sum_ce_local_w = self.sum_ce_local
-        self._walks = [walks1]
+        self._adj = adj
+        self._walks = [spectra.walk_start(adj, int(degrees.max(initial=0)))]
 
     def _walk_vec(self, r: int):
         """w_r(v) as float64; the exact walk table grows only as far as asked."""
         while len(self._walks) < r:
-            self._walks.append(self._walk_step(self._walks[-1]))
-        return np.asarray(self._walks[r - 1], dtype=np.float64)
+            self._walks.append(spectra.walk_step(self._adj, self._walks[-1]))
+        return spectra.walk_floats(self._walks[r - 1])
 
     def walk_total(self, r: int):
         return self._walk_vec(r).sum(axis=-1)
@@ -156,19 +159,19 @@ class GraphContext(DerivedFields):
 
     def __init__(self, g: Graph, exact_cliques: bool | None = None):
         self.graph = g
+        # One uint8 adjacency feeds the eigensolve (as a transient float64)
+        # and the walk steps; no n x n float64 or int64 copy stays alive.
         # The eigensolve runs before the clique profile; the other order
         # raised peak RSS by about 11 MB on G(1000, 1/2).
-        eigenvalues = spectra.eigenvalues(g, verify=False).eigenvalues
+        adj = g.dense(np.uint8)
+        eigenvalues = spectra.eigenvalues(adj, verify=False).eigenvalues
         self.profile = cliques.clique_profile(g, exact=exact_cliques)
         self.exact_cliques = self.profile.exact
         self.t = np.int64(self.profile.t)
         self.diamond_free = np.bool_(cliques.is_diamond_free(g))
         self.connected = np.bool_(is_connected(g))
         self._derive(eigenvalues, np.array(g.degrees), np.array(self.profile.c_v),
-                     np.array(self.profile.c_e, dtype=np.float64), [1] * g.n)
-
-    def _walk_step(self, w):
-        return spectra.walk_step(self.graph, w)
+                     np.array(self.profile.c_e, dtype=np.float64), adj)
 
 
 # ---------------------------------------------------------------------------

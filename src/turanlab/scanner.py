@@ -2,8 +2,9 @@
 
 Sources are labeled enumerations, graph6 streams and seeded G(n, p) trial
 sets.  The order alone picks the path: graphs on at most
-``batch.WALK_SAFE_MAX_ORDER`` vertices are evaluated in chunks by the
-vectorized kernel, larger ones one at a time.  Aggregation is
+``batch.BATCH_MAX_ORDER`` (11) vertices are evaluated in chunks by the
+vectorized kernel, larger ones one at a time; both take their walk counts
+from the same exact ``spectra.walk_step``.  Aggregation is
 merge-associative per check: counts add, minima combine with a
 (slack, graph6) tie-break, and top-k lists merge by sort-and-trim, so any
 partition of the input over workers reproduces the single-worker report
@@ -376,7 +377,7 @@ def _run_rows(n: int) -> int:
 
 def _graph6_units(source: Graph6Source, ids: list[str], options: ScanOptions, report: ScanReport):
     """Units in input order: one per run of consecutive lines that share one
-    order n <= ``bt.WALK_SAFE_MAX_ORDER`` (at most ``_run_rows(n)`` lines),
+    order n <= ``bt.BATCH_MAX_ORDER`` (at most ``_run_rows(n)`` lines),
     one per line of larger order and one per parse error."""
     def parse_error(lineno: int, exc: Graph6ParseError):
         if options.strict_parse:
@@ -410,7 +411,7 @@ def _graph6_units(source: Graph6Source, ids: list[str], options: ScanOptions, re
                 continue
             if run and (g.n != run_n or len(run) == _run_rows(run_n)):
                 yield flush()
-            if g.n <= bt.WALK_SAFE_MAX_ORDER:
+            if g.n <= bt.BATCH_MAX_ORDER:
                 run_n = g.n
                 run.append(g.edge_mask())
             else:

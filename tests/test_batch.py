@@ -4,6 +4,9 @@ import pytest
 from turanlab import batch as bt
 from turanlab import graph as gr
 from turanlab import inequalities as iq
+from turanlab import spectra as sp
+
+from conftest import neighbour_sum_walks
 
 
 def assert_context_rows_match(bctx, i, sctx, tol=1e-10):
@@ -121,10 +124,35 @@ def test_order_beyond_int64_edge_masks_rejected():
         bt.BatchContext(12, np.array([0]))
 
 
-def test_walk_counts_beyond_int64_rejected():
+def test_walk_counts_exact_through_k11_w20():
+    # K_11's w_20 is 10^19 per vertex: past int64, below 2^64.
     k10 = bt.BatchContext(10, np.array([(1 << 45) - 1]))
     assert k10.walk_total(20)[0] == pytest.approx(10 * 9**19, rel=1e-12)
     k11 = bt.BatchContext(11, np.array([(1 << 55) - 1]))
     assert k11.walk_total(19)[0] == pytest.approx(11 * 10**18, rel=1e-12)
-    with pytest.raises(OverflowError):
-        k11.walk_total(20)
+    assert k11.walk_total(20)[0] == float(11 * 10**19)
+    assert sp.walk_ints(k11._walks[19]).tolist() == [[10**19] * 11]
+
+
+def test_batch_walk_table_matches_oracle():
+    rng = np.random.default_rng(41)
+    for n in range(1, 12):
+        nbits = n * (n - 1) // 2
+        masks = [int(m) for m in rng.integers(0, 1 << nbits, size=6, dtype=np.int64)]
+        masks.append((1 << nbits) - 1)
+        bctx = bt.BatchContext(n, np.array(masks, dtype=np.int64))
+        graphs = [gr.from_edge_mask(n, m) for m in masks]
+        sctxs = [iq.GraphContext(g) for g in graphs]
+        tables = [neighbour_sum_walks(g, 20) for g in graphs]
+        for r in range(1, 21):
+            bvec = bctx._walk_vec(r)
+            exact = sp.walk_ints(bctx._walks[r - 1]).tolist()
+            for i, (table, sctx) in enumerate(zip(tables, sctxs)):
+                want = table[r - 1]
+                assert exact[i] == want, (n, r, i)
+                # Batch rows and the per-graph context round the same exact
+                # counts the same way as float(int).
+                assert bvec[i].tolist() == [float(x) for x in want], (n, r, i)
+                assert sctx._walk_vec(r).tolist() == bvec[i].tolist(), (n, r, i)
+        # Every batch order stays in the uint64 channel up to w_20.
+        assert bctx._walks[19].res.shape[-1] == 1

@@ -141,6 +141,12 @@ def test_walks(capsys):
     assert data["per_vertex"] == [4, 4, 4, 4, 4] and data["total"] == 20
 
 
+def test_walks_past_residue_capacity_exit_2(capsys):
+    code, out, err = run(capsys, "walks", "--named", "complete:3", "--r", "400")
+    assert code == 2 and out == ""
+    assert "residue moduli" in err
+
+
 def test_random_experiment_cli(capsys):
     code, out, _ = run(capsys, "random", "--gnp", "25,0.4", "--trials", "3", "--seed", "2")
     assert code == 0

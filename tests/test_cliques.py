@@ -192,6 +192,17 @@ def test_clique_profile():
     assert (p1.omega, p1.t, p1.tv) == (1, 0, 0)
 
 
+def test_inconsistent_clique_profile_raises():
+    # Consistent: omega is the largest c(v), every c(v) in [1, omega].
+    cl.CliqueProfile(omega=3, c_v=(3, 3, 3, 2), c_e=(3, 3, 3, 2), t=1, tv=3)
+    with pytest.raises(ValueError, match="outside"):
+        cl.CliqueProfile(omega=2, c_v=(1, 3), c_e=(), t=0, tv=0)
+    with pytest.raises(ValueError, match="outside"):
+        cl.CliqueProfile(omega=2, c_v=(0, 2), c_e=(), t=0, tv=0)
+    with pytest.raises(ValueError, match="max c"):
+        cl.CliqueProfile(omega=3, c_v=(2, 2), c_e=(2,), t=0, tv=0)
+
+
 def test_greedy_lower_bounds():
     for g in random_graphs(100, 9, seed=11):
         exact_cv = cl.vertex_clique_numbers(g, exact=True)

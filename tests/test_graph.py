@@ -248,3 +248,19 @@ def test_disjoint_union():
 def test_dense_round_trip():
     g = gr.petersen()
     assert gr.from_numpy(g.dense()) == g
+
+
+def test_dense_matches_per_bit_reference():
+    for n in (1, 7, 8, 9, 63, 64, 65, 1000):
+        g = gr.random_gnp(n, 0.5, 11, index=n)
+        ref = np.zeros((n, n), dtype=np.uint8)
+        for v, row in enumerate(g.adj):
+            for u in range(n):
+                ref[v, u] = row >> u & 1
+        for dtype in (np.float64, np.uint8, np.int64, bool):
+            a = g.dense(dtype)
+            assert a.dtype == np.dtype(dtype) and a.shape == (n, n), (n, dtype)
+            assert np.array_equal(a, ref.astype(dtype)), (n, dtype)
+        assert g.dense().dtype == np.float64
+        assert gr.from_numpy(g.dense()) == g
+        assert gr.from_numpy(g.dense(np.uint8)) == g

@@ -382,8 +382,8 @@ def test_graph6_only_small_orders_reach_batch_kernel(monkeypatch):
     monkeypatch.setattr(sc, "GraphContext", single)
     report = sc.scan(sc.Graph6Source(lines=tuple(_mixed_corpus())), ["wilf"])
     # A run ends at a change of order, a larger order or a parse error.
-    assert batches == [(8, 5), (9, 3), (10, 2), (10, 4), (10, 1), (8, 3), (9, 1)]
-    assert singles == [11, 12, 12, 11, 12]
+    assert batches == [(8, 5), (9, 3), (11, 1), (10, 2), (10, 4), (10, 1), (8, 3), (11, 1), (9, 1)]
+    assert singles == [12, 12, 12]
     assert report.graphs_processed == sum(rows for _, rows in batches) + len(singles)
 
 

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from turanlab import cliques as cl
 from turanlab import graph as gr
 from turanlab import spectra as sp
+from turanlab.inequalities import GraphContext
 
-from conftest import random_graph
+from conftest import neighbour_sum_walks, random_graph
 
 
 def char_poly_exact(g):
@@ -170,6 +171,69 @@ def test_walk_recursion_invariant_exact():
             for v in range(g.n):
                 nb = [u for u in range(g.n) if g.has_edge(u, v)]
                 assert wr1.per_vertex[v] == sum(wr.per_vertex[u] for u in nb)
+
+
+def _oracle_graphs():
+    rng = np.random.default_rng(33)
+    for n in range(1, 12):
+        for _ in range(3):
+            yield gr.from_edge_mask(n, int(rng.integers(0, 1 << (n * (n - 1) // 2))))
+    yield gr.complete(11)
+
+
+def test_walk_tables_match_neighbour_sum_oracle():
+    for g in _oracle_graphs():
+        ctx = GraphContext(g)
+        for r, want in enumerate(neighbour_sum_walks(g, 20), start=1):
+            assert list(sp.walk_counts(g, r).per_vertex) == want, (g, r)
+            vec = ctx._walk_vec(r)
+            assert sp.walk_ints(ctx._walks[r - 1]).tolist() == want, (g, r)
+            assert vec.tolist() == [float(x) for x in want], (g, r)
+
+
+def test_walks_beyond_2_64_take_residue_channels():
+    k40 = sp.walk_counts(gr.complete(40), 20)
+    assert k40.per_vertex == (39**19,) * 40 and k40.total == 40 * 39**19
+    for n, seed in ((62, 5), (200, 3)):
+        g = gr.random_gnp(n, 0.5, seed, index=0)
+        ctx = GraphContext(g)
+        for r, want in enumerate(neighbour_sum_walks(g, 20), start=1):
+            assert list(sp.walk_counts(g, r).per_vertex) == want, (n, r)
+            assert ctx._walk_vec(r).tolist() == [float(x) for x in want], (n, r)
+        # Past 2^64 the table carries prime channels and still rebuilds exactly.
+        assert max(want) >= 2**64 and ctx._walks[19].res.shape[-1] > 1
+
+
+def test_walk_floats_round_like_python_int_to_float():
+    # Ties and near-ties above 2^53, where uint64 -> float64 must round half to even.
+    vals = [2**53 + 1, 2**53 + 3, 2**60 + 2**7, 2**60 + 3 * 2**7, 2**63 + 2**10,
+            2**64 - 1, 2**64 - 2**11, 2**64 - 2**10 - 1, 12345]
+    rng = np.random.default_rng(35)
+    vals += [int(x) for x in rng.integers(2**53, 2**64 - 1, size=2000, dtype=np.uint64)]
+    w = sp.Walks(np.array(vals, dtype=np.uint64)[:, None], 2**64 - 1, 0)
+    assert sp.walk_floats(w).tolist() == [float(x) for x in vals]
+    # Above 2^64 the exact integers are rebuilt first, then rounded.
+    big = [x * 3**40 + 7 for x in vals]
+    res = np.array([[x % 2**64] + [x % p for p in sp.WALK_PRIMES[:3]] for x in big], dtype=np.uint64)
+    w = sp.Walks(res, max(big), 0)
+    assert sp.walk_ints(w).tolist() == big
+    assert sp.walk_floats(w).tolist() == [float(x) for x in big]
+
+
+def test_walk_moduli_and_capacity_limit():
+    for p in sp.WALK_PRIMES:
+        assert 2**30 < p < 2**31 and all(p % d for d in range(2, math.isqrt(p) + 1))
+    assert len(set(sp.WALK_PRIMES)) == len(sp.WALK_PRIMES)
+    capacity = 2**64 * math.prod(sp.WALK_PRIMES)
+    # Every catalogue walk (r <= 20) at the largest order fits.
+    assert 4095**19 < capacity
+    # On K_3, w_r = 2^(r-1): the last r whose bound is below the capacity is
+    # exact, the next one raises instead of wrapping.
+    r = capacity.bit_length()
+    assert 2 ** (r - 1) < capacity <= 2**r
+    assert sp.walk_counts(gr.complete(3), r).per_vertex == (2 ** (r - 1),) * 3
+    with pytest.raises(OverflowError):
+        sp.walk_counts(gr.complete(3), r + 1)
 
 
 def test_walk_counts_rejects_bad_r():
