@@ -13,15 +13,26 @@ catalogue is monotone increasing in the clique sizes on its bound side, so
 lower bounds can only under-report the bound: a check that passes with them
 is guaranteed, and a candidate violation is reported with a note in its
 ``notes`` that it is unconfirmed.
+
+The greedy extension runs as one numpy kernel over packed uint64 neighbour
+rows: each step takes the lowest candidate of every row of a block of
+universes at once (all vertices for c(v), blocks of edges for c(e)).  On
+G(1000, 1/2) it covers the ~250k edges in about 0.25 s, against about 1 s
+for one Python big-int loop per edge.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .graph import Graph, is_connected
 
 EXACT_ORDER_CAP = 64
+# One greedy block's candidate rows plus the neighbour rows gathered for them
+# stay near 1 MB: 4,096 universes at n = 1,000.
+_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -33,6 +44,7 @@ class CliqueProfile:
     c_e: tuple[int, ...]  # aligned with Graph.edges order
     t: int
     tv: int
+    diamond_free: bool  # no edge has two common neighbours
     exact: bool = True
 
     def __post_init__(self):
@@ -51,6 +63,59 @@ def _greedy_clique(adj: tuple[int, ...], universe: int) -> int:
         clique |= b
         cand &= adj[b.bit_length() - 1]
     return clique
+
+
+def _pack(rows, n: int) -> np.ndarray:
+    """Bitmask rows as (len(rows), ceil(n / 64)) uint64; bit v sits in word v // 64."""
+    width = 8 * ((n + 63) // 64)
+    data = bytearray(b"".join(row.to_bytes(width, "little") for row in rows))
+    return np.frombuffer(data, dtype="<u8").reshape(-1, width // 8)
+
+
+def _greedy_block(packed: np.ndarray, cand: np.ndarray) -> np.ndarray:
+    """Lowest-bit greedy clique size inside every row of ``cand`` (consumed).
+
+    Row for row this is ``_greedy_clique(adj, universe).bit_count()``.
+    """
+    size = np.zeros(len(cand), dtype=np.int64)
+    rows = np.arange(len(cand))
+    at = rows
+    last = len(packed) - 1
+    while True:
+        word = (cand != 0).argmax(axis=1)
+        low = cand[at, word]
+        alive = low != 0
+        live = np.count_nonzero(alive)
+        if not live:
+            return size
+        # Depths spread (5 to 13 steps per edge of G(1000, 1/2)), so empty
+        # rows are dropped once they are the majority.
+        if 2 * live < len(cand):
+            rows, cand, word, low = rows[alive], cand[alive], word[alive], low[alive]
+            at = np.arange(live)
+            size[rows] += 1
+        else:
+            size[rows] += alive
+        # Trailing zeros of the lowest word: an empty row reads v = 63, which
+        # the clamp keeps in range; its candidates stay empty either way.
+        v = 64 * word + np.bitwise_count(low ^ (low - 1)).astype(np.intp) - 1
+        np.minimum(v, last, out=v)
+        cand &= packed[v]
+
+
+def _greedy_sizes(packed: np.ndarray, u: np.ndarray,
+                  v: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Greedy clique sizes in N(u) (or N(u) cap N(v)) and those sets' sizes."""
+    block = max(1, _BLOCK_BYTES // (16 * packed.shape[1]))
+    sizes = np.empty(len(u), dtype=np.int64)
+    counts = np.empty(len(u), dtype=np.int64)
+    for lo in range(0, len(u), block):
+        cand = packed[u[lo:lo + block]]
+        if v is not None:
+            cand &= packed[v[lo:lo + block]]
+        counts[lo:lo + block] = np.bitwise_count(cand).sum(axis=1)
+        sizes[lo:lo + block] = _greedy_block(packed, cand)
+    return sizes, counts
 
 
 def max_clique(g: Graph, universe: int | None = None) -> tuple[int, tuple[int, ...]]:
@@ -104,47 +169,50 @@ def clique_number(g: Graph, universe: int | None = None, exact: bool = True) -> 
     if exact:
         return max_clique(g, universe)[0]
     uni = (1 << g.n) - 1 if universe is None else universe
-    return _greedy_clique(g.adj, uni).bit_count()
+    return int(_greedy_block(_pack(g.adj, g.n), _pack((uni,), g.n))[0])
 
 
 def vertex_clique_numbers(g: Graph, exact: bool | None = None) -> tuple[int, ...]:
     """c(v) = 1 + omega(G[N(v)]) for every vertex; isolated vertices get 1."""
     if exact is None:
         exact = g.n <= EXACT_ORDER_CAP
-    return tuple(1 + clique_number(g, g.adj[v], exact) for v in range(g.n))
+    if exact:
+        return tuple(1 + max_clique(g, row)[0] for row in g.adj)
+    sizes, _ = _greedy_sizes(_pack(g.adj, g.n), np.arange(g.n))
+    return tuple((1 + sizes).tolist())
+
+
+def _edge_scan(g: Graph, exact: bool) -> tuple[tuple[int, ...], np.ndarray]:
+    """c(e) aligned with g.edges, and each edge's common-neighbour count."""
+    if exact:
+        adj = g.adj
+        common = [adj[u] & adj[v] for u, v in g.edges]
+        c_e = tuple(2 + max_clique(g, c)[0] for c in common)
+        return c_e, np.array([c.bit_count() for c in common], dtype=np.int64)
+    # np.nonzero walks the upper triangle row by row: g.edges order.
+    u, v = np.nonzero(np.triu(g.dense(np.uint8), 1))
+    sizes, counts = _greedy_sizes(_pack(g.adj, g.n), u, v)
+    return tuple((2 + sizes).tolist()), counts
 
 
 def edge_clique_numbers(g: Graph, exact: bool | None = None) -> tuple[int, ...]:
     """c(uv) = 2 + omega(G[N(u) cap N(v)]), aligned with g.edges."""
     if exact is None:
         exact = g.n <= EXACT_ORDER_CAP
-    adj = g.adj
-    return tuple(2 + clique_number(g, adj[u] & adj[v], exact) for u, v in g.edges)
+    return _edge_scan(g, exact)[0]
+
+
+def _triangles(common_total: int) -> int:
+    """t(G) from the summed common-neighbour counts (each triangle hits 3 edges)."""
+    if common_total % 3:
+        raise ValueError(f"edge triangle counts sum to {common_total}, not a multiple of 3")
+    return common_total // 3
 
 
 def triangle_count(g: Graph) -> int:
-    """Exact t(G) via neighbor-mask intersections (each triangle hits 3 edges)."""
+    """Exact t(G) via neighbor-mask intersections."""
     adj = g.adj
-    total = sum((adj[u] & adj[v]).bit_count() for u, v in g.edges)
-    if total % 3:
-        raise ValueError(f"edge triangle counts sum to {total}, not a multiple of 3")
-    return total // 3
-
-
-def neighborhood_edge_counts(g: Graph) -> list[int]:
-    """m(G[N(v)]) per vertex; their sum is 3 t(G)."""
-    adj = g.adj
-    out = []
-    for v in range(g.n):
-        nb = adj[v]
-        acc = 0
-        rest = nb
-        while rest:
-            b = rest & -rest
-            acc += (adj[b.bit_length() - 1] & nb).bit_count()
-            rest ^= b
-        out.append(acc // 2)
-    return out
+    return _triangles(sum((adj[u] & adj[v]).bit_count() for u, v in g.edges))
 
 
 def is_diamond_free(g: Graph) -> bool:
@@ -222,14 +290,13 @@ def clique_profile(g: Graph, exact: bool | None = None) -> CliqueProfile:
     if exact is None:
         exact = g.n <= EXACT_ORDER_CAP
     c_v = vertex_clique_numbers(g, exact)
-    c_e = edge_clique_numbers(g, exact)
-    omega = max(c_v)
-    t = triangle_count(g)
+    c_e, common = _edge_scan(g, exact)
     return CliqueProfile(
-        omega=omega,
+        omega=max(c_v),
         c_v=c_v,
         c_e=c_e,
-        t=t,
+        t=_triangles(int(common.sum())),
         tv=sum(1 for c in c_v if c >= 3),
+        diamond_free=bool((common <= 1).all()),
         exact=exact,
     )

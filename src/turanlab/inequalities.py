@@ -162,13 +162,13 @@ class GraphContext(DerivedFields):
         # One uint8 adjacency feeds the eigensolve (as a transient float64)
         # and the walk steps; no n x n float64 or int64 copy stays alive.
         # The eigensolve runs before the clique profile; the other order
-        # raised peak RSS by about 11 MB on G(1000, 1/2).
+        # raised peak RSS by 6 to 9 MB on G(1000, 1/2).
         adj = g.dense(np.uint8)
         eigenvalues = spectra.eigenvalues(adj, verify=False).eigenvalues
         self.profile = cliques.clique_profile(g, exact=exact_cliques)
         self.exact_cliques = self.profile.exact
         self.t = np.int64(self.profile.t)
-        self.diamond_free = np.bool_(cliques.is_diamond_free(g))
+        self.diamond_free = np.bool_(self.profile.diamond_free)
         self.connected = np.bool_(is_connected(g))
         self._derive(eigenvalues, np.array(g.degrees), np.array(self.profile.c_v),
                      np.array(self.profile.c_e, dtype=np.float64), adj)

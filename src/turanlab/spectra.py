@@ -138,17 +138,6 @@ def eigenvalues(g: Graph | np.ndarray, verify: bool = True) -> Spectrum:
     return Spectrum(vals[::-1].copy())
 
 
-def square_energies(s: Spectrum) -> tuple[float, float]:
-    """Recompute (s_plus, s_minus) from the stored eigenvalues."""
-    return s.s_plus, s.s_minus
-
-
-def power_sum(s: Spectrum, p: int = 3) -> float:
-    if p < 1:
-        raise ValueError("power sum needs p >= 1")
-    return s.power_sum(p)
-
-
 # Exact walk counts are held in residue channels: channel 0 is uint64, so it
 # is w mod 2^64, and channel i >= 1 is w mod WALK_PRIMES[i - 1].  A prime
 # residue times a 0/1 row sums to below n * 2^31 <= 2^43, so uint64 never

@@ -95,11 +95,6 @@ def test_triangle_count():
         assert cl.triangle_count(g) == t_brute(g)
 
 
-def test_neighborhood_edge_counts_sum_to_3t():
-    for g in random_graphs(150, 9, seed=7):
-        assert sum(cl.neighborhood_edge_counts(g)) == 3 * cl.triangle_count(g)
-
-
 def test_predicates():
     assert cl.predicates(gr.diamond())["diamond_free"] is False
     b = cl.predicates(gr.bowtie())
@@ -194,13 +189,13 @@ def test_clique_profile():
 
 def test_inconsistent_clique_profile_raises():
     # Consistent: omega is the largest c(v), every c(v) in [1, omega].
-    cl.CliqueProfile(omega=3, c_v=(3, 3, 3, 2), c_e=(3, 3, 3, 2), t=1, tv=3)
+    cl.CliqueProfile(omega=3, c_v=(3, 3, 3, 2), c_e=(3, 3, 3, 2), t=1, tv=3, diamond_free=True)
     with pytest.raises(ValueError, match="outside"):
-        cl.CliqueProfile(omega=2, c_v=(1, 3), c_e=(), t=0, tv=0)
+        cl.CliqueProfile(omega=2, c_v=(1, 3), c_e=(), t=0, tv=0, diamond_free=True)
     with pytest.raises(ValueError, match="outside"):
-        cl.CliqueProfile(omega=2, c_v=(0, 2), c_e=(), t=0, tv=0)
+        cl.CliqueProfile(omega=2, c_v=(0, 2), c_e=(), t=0, tv=0, diamond_free=True)
     with pytest.raises(ValueError, match="max c"):
-        cl.CliqueProfile(omega=3, c_v=(2, 2), c_e=(2,), t=0, tv=0)
+        cl.CliqueProfile(omega=3, c_v=(2, 2), c_e=(2,), t=0, tv=0, diamond_free=True)
 
 
 def test_greedy_lower_bounds():
@@ -261,3 +256,74 @@ def test_max_clique_cap():
         cl.max_clique(g)
     # Greedy path still works above the cap.
     assert cl.clique_number(g, exact=False) >= 2
+
+
+def greedy_reference(g):
+    """Scalar lowest-bit greedy per vertex and per edge (g.edges order)."""
+    adj = g.adj
+    c_v = tuple(1 + cl._greedy_clique(adj, row).bit_count() for row in adj)
+    c_e = tuple(2 + cl._greedy_clique(adj, adj[u] & adj[v]).bit_count() for u, v in g.edges)
+    return c_v, c_e
+
+
+def kernel_cases():
+    for n in (65, 127, 128, 129, 200):
+        for p in (0.1, 0.5, 0.9):
+            yield gr.random_gnp(n, p, seed=n)
+    yield gr.empty(100)
+    # Vertices 10k + 9 isolated among the 90 of a G(90, 1/2).
+    sparse = gr.random_gnp(90, 0.5, seed=2)
+    yield gr.from_edges(100, [(u + u // 9, v + v // 9) for u, v in sparse.edges])
+    yield gr.complete(70)
+    yield gr.complete_bipartite(35, 35)
+
+
+def test_greedy_kernel_matches_scalar_greedy():
+    for g in kernel_cases():
+        prof = cl.clique_profile(g, exact=False)
+        c_v, c_e = greedy_reference(g)
+        assert prof.c_v == c_v and prof.c_e == c_e, g
+        assert prof.t == cl.triangle_count(g)
+        assert prof.diamond_free == cl.is_diamond_free(g)
+        assert cl.vertex_clique_numbers(g, exact=False) == c_v
+        assert cl.edge_clique_numbers(g, exact=False) == c_e
+        full = (1 << g.n) - 1
+        assert cl.clique_number(g, exact=False) == cl._greedy_clique(g.adj, full).bit_count()
+
+
+def test_exact_cliques_match_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = np.random.default_rng(14)
+    cases = [gr.random_gnp(int(rng.integers(1, 31)), p, seed=int(rng.integers(1 << 30)))
+             for p in (0.2, 0.5, 0.8) for _ in range(12)]
+    cases += [gr.petersen(), gr.diamond(), gr.bowtie(), gr.cycle(7), gr.complete(9),
+              gr.complete_multipartite([3, 2, 4]), gr.disjoint_union(gr.complete(5), gr.empty(3))]
+    for g in cases:
+        h = nx.Graph()
+        h.add_nodes_from(range(g.n))
+        h.add_edges_from(g.edges)
+        maximal = list(nx.find_cliques(h))
+        node_cn = nx.node_clique_number(h, cliques=maximal)
+        assert cl.max_clique(g)[0] == max(len(c) for c in maximal)
+        assert cl.vertex_clique_numbers(g) == tuple(node_cn[v] for v in range(g.n))
+        assert cl.edge_clique_numbers(g) == tuple(
+            max(len(c) for c in maximal if u in c and v in c) for u, v in g.edges)
+
+
+def k3_times_cycle(k):
+    """K_3 x C_k (Cartesian): every edge in at most one triangle, k triangles."""
+    edges = [(3 * i + a, 3 * i + b) for i in range(k) for a, b in ((0, 1), (0, 2), (1, 2))]
+    edges += [(3 * i + a, 3 * ((i + 1) % k) + a) for i in range(k) for a in range(3)]
+    return gr.from_edges(3 * k, edges)
+
+
+def test_greedy_profile_diamond_flag():
+    free = k3_times_cycle(30)
+    k = gr.complete_bipartite(40, 40)
+    # A perfect matching inside one side: each matching edge has 40 common neighbours.
+    matched = gr.from_edges(80, list(k.edges) + [(2 * i, 2 * i + 1) for i in range(20)])
+    for g, expect, t in ((free, True, 30), (matched, False, 20 * 40)):
+        prof = cl.clique_profile(g)
+        assert not prof.exact
+        assert prof.diamond_free == cl.is_diamond_free(g) == expect
+        assert prof.t == t

@@ -272,3 +272,10 @@ def test_greedy_context_flags_unconfirmed():
     assert "greedy lower bounds" in res.notes
     exact = iq.check("vertex_local_splus_wilf", g)
     assert res.rhs <= exact.rhs + 1e-12
+
+
+def test_greedy_context_does_not_build_edge_list():
+    g = gr.random_gnp(200, 0.5, seed=4)
+    ctx = iq.GraphContext(g)
+    assert not ctx.exact_cliques
+    assert "edges" not in g.__dict__

@@ -96,14 +96,6 @@ def test_bipartite_square_energies():
     s = sp.eigenvalues(gr.complete_bipartite(3, 3))
     assert math.isclose(s.s_plus, 9.0, abs_tol=1e-9)
     assert math.isclose(s.s_minus, 9.0, abs_tol=1e-9)
-    assert sp.square_energies(s) == (s.s_plus, s.s_minus)
-
-
-def test_power_sum_fixtures():
-    assert math.isclose(sp.power_sum(sp.eigenvalues(gr.complete(4)), 3), 24.0, abs_tol=1e-9)
-    assert math.isclose(sp.power_sum(sp.eigenvalues(gr.petersen()), 3), 0.0, abs_tol=1e-8)
-    with pytest.raises(ValueError):
-        sp.power_sum(sp.eigenvalues(gr.complete(3)), 0)
 
 
 def trace_identities_ok(g, s=None):
