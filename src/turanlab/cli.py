@@ -15,11 +15,8 @@ from . import cliques, motzkin, spectra
 from .graph import Graph, GraphError, from_graph6, named, random_gnp
 from .inequalities import (
     CATALOGUE,
-    GraphContext,
     Tolerances,
-    check as check_one,
     check_all,
-    expand_check_ids,
     load_weight_csv,
     weighted_edge_local_check,
 )
@@ -117,11 +114,8 @@ def cmd_check(args) -> int:
         with open(args.weights, encoding="ascii") as fh:
             weights = load_weight_csv(fh)
         results = [weighted_edge_local_check(g, weights, tol)]
-    elif args.id:
-        ctx = GraphContext(g)
-        results = [check_one(cid, g, ctx, tol) for cid in expand_check_ids(args.id)]
     else:
-        results = check_all(g, "all", tol=tol)
+        results = check_all(g, args.id or "all", tol=tol)
     _print([r.to_dict() for r in results])
     binding = any(r.applicable and not r.holds for r in results)
     return 1 if binding else 0

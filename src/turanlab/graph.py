@@ -12,6 +12,7 @@ go up to ``MAX_ORDER`` (4096); their adjacency rows simply span more words.
 
 from __future__ import annotations
 
+import string
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
@@ -171,11 +172,12 @@ def from_numpy(a: np.ndarray) -> Graph:
 def from_graph6(text: str) -> Graph:
     """Decode one graph6 line into a labeled graph (order <= 64).
 
-    Error offsets count from the start of ``text``: leading whitespace and a
-    ``>>graph6<<`` header are counted too.
+    Only ASCII whitespace (``string.whitespace``) is stripped; other control
+    characters are parse errors.  Error offsets count from the start of
+    ``text``: leading whitespace and a ``>>graph6<<`` header are counted too.
     """
-    line = text.rstrip()
-    start = len(line) - len(line.lstrip())
+    line = text.rstrip(string.whitespace)
+    start = len(line) - len(line.lstrip(string.whitespace))
     if line.startswith(">>graph6<<", start):
         start += len(">>graph6<<")
     line = line[start:]
@@ -196,6 +198,8 @@ def from_graph6(text: str) -> Graph:
             if not 0 <= c < 64:
                 raise Graph6ParseError("order byte outside graph6 range", start + i)
             n = n << 6 | c
+        if n < 63:
+            raise Graph6ParseError("four-byte order form needs order >= 63", start + 1)
         pos = 4
     else:
         n = data[0] - 63

@@ -40,18 +40,21 @@ class Tolerances:
     holds_rtol: float = 1e-9
     equality_rtol: float = 1e-8
 
+    @staticmethod
+    def _scale(lhs, rhs):
+        return np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
+
     def holds_tol(self, lhs, rhs):
-        return self.holds_rtol * np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
+        return self.holds_rtol * self._scale(lhs, rhs)
 
-    def equality_tol(self, lhs, rhs):
-        return self.equality_rtol * np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
-
-    def verdict(self, lhs, rhs, strict: bool):
-        """(slack, holds, equality) of lhs <= rhs, or lhs < rhs when strict, elementwise."""
+    def verdict(self, lhs, rhs, strict):
+        """(slack, holds, equality) of lhs <= rhs, or lhs < rhs where strict,
+        elementwise; ``strict`` broadcasts, e.g. one flag per row of checks."""
         slack = rhs - lhs
-        htol = self.holds_tol(lhs, rhs)
-        holds = slack > -htol if strict else slack >= -htol
-        return slack, holds, np.abs(slack) <= self.equality_tol(lhs, rhs)
+        scale = self._scale(lhs, rhs)
+        bound = -self.holds_rtol * scale
+        holds = np.where(strict, slack > bound, slack >= bound)
+        return slack, holds, np.abs(slack) <= self.equality_rtol * scale
 
 
 DEFAULT_TOL = Tolerances()
@@ -467,21 +470,10 @@ def expand_check_ids(
     return sorted(ordered, key=sort_key)
 
 
-def evaluate_entry(entry: CatalogueEntry, ctx, r: int | None, tol: Tolerances = DEFAULT_TOL) -> InequalityResult:
-    lhs = float(entry.lhs(ctx, r))
-    rhs = float(entry.rhs(ctx, r))
-    slack, holds, equality = tol.verdict(lhs, rhs, entry.strict)
-    failed = entry.failed_hypotheses(ctx, r)
-    return InequalityResult(
-        id=entry.id_for(r),
-        lhs=lhs,
-        rhs=rhs,
-        slack=slack,
-        holds=bool(holds),
-        applicable=not failed,
-        equality=bool(equality),
-        notes=result_notes(entry, failed, bool(ctx.connected), ctx.exact_cliques, bool(holds)),
-    )
+def evaluate_entry(entry: CatalogueEntry, ctx, r: int | None):
+    """(lhs, rhs, applicable) of one check on a context: scalars for one graph,
+    arrays with a row per graph for a chunk."""
+    return entry.lhs(ctx, r), entry.rhs(ctx, r), entry.applicable(ctx, r)
 
 
 def result_notes(entry: CatalogueEntry, failed: Sequence[str], connected: bool,
@@ -505,7 +497,20 @@ def check(check_id: str, g: Graph, context: GraphContext | None = None, tol: Tol
     """Evaluate one catalogue check on one graph."""
     entry, r = parse_check_id(check_id)
     ctx = context if context is not None else GraphContext(g)
-    return evaluate_entry(entry, ctx, r, tol)
+    lhs, rhs, applicable = evaluate_entry(entry, ctx, r)
+    lhs, rhs = float(lhs), float(rhs)
+    slack, holds, equality = tol.verdict(lhs, rhs, entry.strict)
+    failed = [] if applicable else entry.failed_hypotheses(ctx, r)
+    return InequalityResult(
+        id=entry.id_for(r),
+        lhs=lhs,
+        rhs=rhs,
+        slack=slack,
+        holds=bool(holds),
+        applicable=bool(applicable),
+        equality=bool(equality),
+        notes=result_notes(entry, failed, bool(ctx.connected), ctx.exact_cliques, bool(holds)),
+    )
 
 
 def check_all(
@@ -532,7 +537,7 @@ def weighted_edge_local_check(
     if np.any(w < 0):
         raise ValueError("negative weight")
     ctx.sum_ce_local_w = edge_local_sum(np.array(ctx.profile.c_e, dtype=np.float64), w)
-    return evaluate_entry(_BY_BASE["weighted_edge_local_turan"], ctx, None, tol)
+    return check("weighted_edge_local_turan", g, ctx, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -4,19 +4,21 @@ Sources are labeled enumerations, graph6 streams and seeded G(n, p) trial
 sets.  The order alone picks the path: graphs on at most
 ``batch.BATCH_MAX_ORDER`` (11) vertices are evaluated in chunks by the
 vectorized kernel, larger ones one at a time; both take their walk counts
-from the same exact ``spectra.walk_step``.  Aggregation is
-merge-associative per check: counts add, minima combine with a
-(slack, graph6) tie-break, and top-k lists merge by sort-and-trim, so any
-partition of the input over workers reproduces the single-worker report
-byte for byte.
+from the same exact ``spectra.walk_step``.  One aggregator, ``_aggregate``,
+turns a context into a unit's aggregate: a chunk is a ``BatchContext`` and
+a single graph a one-row ``GraphContext``.  Aggregation is merge-associative
+per check: counts add, minima combine with a (slack, graph6) tie-break, and
+top-k lists merge by sort-and-trim, so any partition of the input over
+workers reproduces the single-worker report byte for byte.
 """
 
 from __future__ import annotations
 
+import string
 import sys
 import time
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -139,32 +141,20 @@ class ScanError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-def _new_check_agg() -> dict:
-    return {
-        "checked": 0,
-        "applicable": 0,
-        "violations": 0,
-        "equalities": 0,
-        "min_slack": None,
-        "argmin_graph6": None,
-        "top": [],  # (slack, graph6)
-    }
+_COUNTS = ("checked", "applicable", "violations", "equalities")
+
+
+def _check_agg(counts=(0, 0, 0, 0), top=()) -> dict:
+    """One check's aggregate.  ``top`` is sorted by (slack, graph6) and holds
+    at least the minimum whenever it is non-empty (top_k >= 1)."""
+    top = list(top)
+    head = top[0] if top else (None, None)
+    return {**dict(zip(_COUNTS, counts)), "min_slack": head[0], "argmin_graph6": head[1],
+            "top": top}
 
 
 def _merge_check_aggs(a: dict, b: dict, top_k: int) -> dict:
-    out = {
-        "checked": a["checked"] + b["checked"],
-        "applicable": a["applicable"] + b["applicable"],
-        "violations": a["violations"] + b["violations"],
-        "equalities": a["equalities"] + b["equalities"],
-    }
-    best = [(s, g) for s, g in (
-        (a["min_slack"], a["argmin_graph6"]),
-        (b["min_slack"], b["argmin_graph6"]),
-    ) if s is not None]
-    out["min_slack"], out["argmin_graph6"] = min(best) if best else (None, None)
-    out["top"] = sorted(a["top"] + b["top"])[:top_k]
-    return out
+    return _check_agg([a[k] + b[k] for k in _COUNTS], sorted(a["top"] + b["top"])[:top_k])
 
 
 # ---------------------------------------------------------------------------
@@ -229,76 +219,96 @@ class ScanReport:
 
 # ---------------------------------------------------------------------------
 # Units: each is a call that evaluates one chunk of graphs on the vectorized
-# kernel (an enumeration range or a graph6 run) or one larger graph.  It
-# returns None when it contributes nothing, or its aggregate: "processed",
-# per-check "checks", "violations", "stop" (end the scan after this unit) and
-# "left" (the unit itself left input unevaluated).
+# kernel (an enumeration range or a graph6 run) or one larger graph, a chunk
+# of one row.  Both go through ``_aggregate``.  A unit returns None when it
+# contributes nothing, or its aggregate: "processed", per-check "checks",
+# "violations", "stop" (end the scan after this unit) and "left" (the unit
+# itself left input unevaluated).
 # ---------------------------------------------------------------------------
 
 
-def _violation(label: str, cid: str, lhs: float, rhs: float, slack: float, notes: str) -> dict:
-    v = {"graph6": label, "check": cid, "lhs": lhs, "rhs": rhs, "slack": slack}
-    if notes:
-        v["notes"] = notes
-    return v
+def _aggregate(ctx, label: Callable[[int], str], ids: Sequence[str], options: ScanOptions,
+               keep: np.ndarray) -> dict:
+    """Every check on every row of a context, as one unit's aggregate.
+
+    ``ctx`` is a ``BatchContext`` or a one-row ``GraphContext``; ``keep``
+    marks the rows that count, and ``label(i)`` names row i.  The catalogue
+    is evaluated as stacked (checks x rows) arrays.
+    """
+    top_k, rows = options.top_k, len(keep)
+    entries = [parse_check_id(cid) for cid in ids]
+    lhs = np.empty((len(ids), rows))
+    rhs = np.empty_like(lhs)
+    slack = np.empty_like(lhs)
+    app = np.empty(lhs.shape, dtype=bool)
+    holds = np.empty_like(app)
+    eq = np.empty_like(app)
+    for j, (entry, r) in enumerate(entries):
+        lhs[j], rhs[j], app[j] = evaluate_entry(entry, ctx, r)
+    strict = np.array([[entry.strict] for entry, _ in entries])
+    # One verdict call per block of at most CHUNK cells, so its temporaries
+    # stay small beside the stacks: one call for a graph or a graph6 run,
+    # a few for an enumeration chunk.
+    step = max(1, CHUNK // rows)
+    for b in range(0, len(ids), step):
+        blk = slice(b, b + step)
+        slack[blk], holds[blk], eq[blk] = options.tol.verdict(lhs[blk], rhs[blk], strict[blk])
+    app &= keep
+    viol = app & ~holds
+    # A stop keeps rows up to the first violating one, all of whose checks count.
+    bad = np.flatnonzero(viol.any(axis=0))
+    stop = options.stop_on_violation and len(bad) > 0
+    end = int(bad[0]) + 1 if stop else rows
+    app[:, end:] = False
+    viol &= app
+    eq &= app
+
+    # Records in input order, then catalogue order.
+    connected = np.broadcast_to(ctx.connected, (rows,))
+    violations = []
+    for i, j in zip(*np.nonzero(viol.T)):
+        v = {"graph6": label(i), "check": ids[j], "lhs": float(lhs[j, i]),
+             "rhs": float(rhs[j, i]), "slack": float(slack[j, i])}
+        notes = result_notes(entries[j][0], (), bool(connected[i]), ctx.exact_cliques, False)
+        if notes:
+            v["notes"] = notes
+        violations.append(v)
+    del lhs, rhs  # only the records need them; the ranking takes two more stacks
+    # Candidates for min/top-k: ties on the boundary slack are broken by
+    # label, so pull the whole tie group.
+    k = min(top_k, rows)
+    part = np.where(app, slack, np.inf)
+    part.partition(k - 1, axis=1)  # column k - 1 holds each check's k-th smallest
+    ranked: list[list] = [[] for _ in ids]
+    for j, i in zip(*np.nonzero(app & (slack <= part[:, k - 1:k]))):
+        ranked[j].append((float(slack[j, i]), label(i)))
+    processed = int(keep[:end].sum())
+    counts = zip(app.sum(axis=1).tolist(), viol.sum(axis=1).tolist(), eq.sum(axis=1).tolist())
+    checks = {cid: _check_agg((processed, *c), sorted(top)[:top_k])
+              for cid, c, top in zip(ids, counts, ranked)}
+    return {"processed": processed, "checks": checks, "violations": violations,
+            "stop": stop, "left": end < rows}
 
 
 def _enum_chunk(n: int, ids: tuple[str, ...], options: ScanOptions, masks: np.ndarray) -> dict:
     """Every check on a chunk of n-vertex graphs given by their lex-order edge masks."""
-    tol, top_k = options.tol, options.top_k
     ctx = bt.BatchContext(n, masks)
     keep = ctx.connected if options.connected_only else np.ones(len(masks), dtype=bool)
+    label = lru_cache(maxsize=None)(lambda i: to_graph6(from_edge_mask(n, int(masks[i]))))
+    return _aggregate(ctx, label, ids, options, keep)
 
-    g6_cache: dict[int, str] = {}
 
-    def g6(mask: int) -> str:
-        if mask not in g6_cache:
-            g6_cache[mask] = to_graph6(from_edge_mask(n, mask))
-        return g6_cache[mask]
-
-    evals = []
-    for cid in ids:
-        entry, r = parse_check_id(cid)
-        lhs = np.broadcast_to(np.asarray(entry.lhs(ctx, r), dtype=np.float64), (len(masks),))
-        rhs = np.broadcast_to(np.asarray(entry.rhs(ctx, r), dtype=np.float64), (len(masks),))
-        app = np.broadcast_to(np.asarray(entry.applicable(ctx, r), dtype=bool), (len(masks),)) & keep
-        slack, holds, eq = tol.verdict(lhs, rhs, entry.strict)
-        evals.append((entry, lhs, rhs, slack, app, eq & app, app & ~holds))
-    # viol[i, j]: graph i violates check j.  A stop keeps graphs up to the
-    # first violating one, all of whose checks count.
-    viol = np.stack([e[-1] for e in evals], axis=1)
-    bad = np.flatnonzero(viol.any(axis=1))
-    stop = options.stop_on_violation and len(bad) > 0
-    end = int(bad[0]) + 1 if stop else len(masks)
-
-    checks = {}
-    for cid, (entry, lhs, rhs, slack, app, eq, bad_j) in zip(ids, evals):
-        app = app[:end]
-        c = _new_check_agg()
-        c["checked"] = int(keep[:end].sum())
-        c["applicable"] = int(app.sum())
-        c["violations"] = int(bad_j[:end].sum())
-        c["equalities"] = int(eq[:end].sum())
-        idx = np.flatnonzero(app)
-        if len(idx):
-            s = slack[idx]
-            # Candidates for min/top-k: ties on the boundary slack are
-            # broken by graph6 string, so pull the whole tie group.
-            kth = np.partition(s, min(top_k, len(s)) - 1)[min(top_k, len(s)) - 1]
-            cand = idx[s <= kth]
-            ranked = sorted((float(slack[i]), g6(int(masks[i]))) for i in cand)
-            c["top"] = ranked[:top_k]
-            c["min_slack"], c["argmin_graph6"] = ranked[0]
-        checks[cid] = c
-    # Records in input order, then catalogue order, as on the per-graph path.
-    violations = []
-    for i, j in zip(*np.nonzero(viol[:end])):
-        entry, lhs, rhs, slack = evals[j][:4]
-        notes = result_notes(entry, (), bool(ctx.connected[i]), ctx.exact_cliques, False)
-        violations.append(_violation(g6(int(masks[i])), ids[j], float(lhs[i]), float(rhs[i]),
-                                     float(slack[i]), notes))
-    return {"processed": int(keep[:end].sum()), "checks": checks, "violations": violations,
-            "stop": stop, "left": end < len(masks)}
+def _graph_unit(g: Graph, ids: Sequence[str], options: ScanOptions, fallback_label: str = "",
+                on_context=None) -> dict | None:
+    """One graph as a one-row chunk, labelled by its graph6 line or, past the
+    graph6 order cap, by ``fallback_label``."""
+    if options.connected_only and not is_connected(g):
+        return None
+    ctx = GraphContext(g)
+    if on_context is not None:
+        on_context(ctx)
+    label = to_graph6(g) if g.n <= GRAPH6_MAX_ORDER else fallback_label
+    return _aggregate(ctx, lambda i: label, ids, options, np.ones(1, dtype=bool))
 
 
 def _enum_range(n: int, ids: tuple[str, ...], options: ScanOptions, lo: int, hi: int) -> dict:
@@ -343,32 +353,6 @@ def _enumeration_units(source: EnumerationSource, ids: list[str], options: ScanO
             yield partial(chunk, clo, chi)
 
 
-def _evaluate_graph(g: Graph, label: str, ids: list[str], options: ScanOptions,
-                    on_context=None) -> dict:
-    """Every check on one graph, aggregated as a one-graph chunk."""
-    ctx = GraphContext(g)
-    if on_context is not None:
-        on_context(ctx)
-    checks = {}
-    violations = []
-    for cid in ids:
-        entry, r = parse_check_id(cid)
-        res = evaluate_entry(entry, ctx, r, options.tol)
-        c = _new_check_agg()
-        c["checked"] = 1
-        if res.applicable:
-            c["applicable"] = 1
-            c["violations"] = int(not res.holds)
-            c["equalities"] = int(res.equality)
-            c["min_slack"], c["argmin_graph6"] = res.slack, label
-            c["top"] = [(res.slack, label)][:options.top_k]
-            if not res.holds:
-                violations.append(_violation(label, cid, res.lhs, res.rhs, res.slack, res.notes))
-        checks[cid] = c
-    return {"processed": 1, "checks": checks, "violations": violations,
-            "stop": options.stop_on_violation and bool(violations), "left": False}
-
-
 def _run_rows(n: int) -> int:
     """Most lines of order n in one batched run: its clique table holds no
     more cells than that of one enumeration chunk at the largest order."""
@@ -384,11 +368,6 @@ def _graph6_units(source: Graph6Source, ids: list[str], options: ScanOptions, re
             raise ScanError(f"line {lineno}: {exc}") from exc
         report.parse_errors.append({"line": lineno, "error": str(exc)})
 
-    def one_graph(g: Graph):
-        if options.connected_only and not is_connected(g):
-            return None
-        return _evaluate_graph(g, to_graph6(g), ids, options)
-
     run: list[int] = []  # lex-order edge masks of a run of order run_n
     run_n = 0
 
@@ -400,7 +379,7 @@ def _graph6_units(source: Graph6Source, ids: list[str], options: ScanOptions, re
     try:
         for lineno, raw in enumerate(source.iter_lines(), start=1):
             line = raw.rstrip("\n")
-            if not line.strip():
+            if not line.strip(string.whitespace):
                 continue
             try:
                 g = from_graph6(line)
@@ -415,7 +394,7 @@ def _graph6_units(source: Graph6Source, ids: list[str], options: ScanOptions, re
                 run_n = g.n
                 run.append(g.edge_mask())
             else:
-                yield partial(one_graph, g)
+                yield partial(_graph_unit, g, ids, options)
         if run:
             yield flush()
     except OSError as exc:
@@ -425,10 +404,7 @@ def _graph6_units(source: Graph6Source, ids: list[str], options: ScanOptions, re
 def _random_units(source: RandomSource, ids: list[str], options: ScanOptions, on_context=None):
     def unit(trial: int):
         g = random_gnp(source.n, source.p, source.seed, index=trial)
-        if options.connected_only and not is_connected(g):
-            return None
-        label = to_graph6(g) if g.n <= GRAPH6_MAX_ORDER else f"trial:{trial}"
-        return _evaluate_graph(g, label, ids, options, on_context)
+        return _graph_unit(g, ids, options, f"trial:{trial}", on_context)
 
     for trial in range(source.trials):
         yield partial(unit, trial)
@@ -451,7 +427,7 @@ def _scan(source: GraphSource, ids: list[str], options: ScanOptions,
         source=source.descriptor(),
         options=options.descriptor(),
         check_ids=ids,
-        checks={cid: _new_check_agg() for cid in ids},
+        checks={cid: _check_agg() for cid in ids},
     )
     if isinstance(source, EnumerationSource):
         units = _enumeration_units(source, ids, options)
@@ -497,6 +473,8 @@ def scan(
     ids = expand_check_ids(checks, options.walk_rs)
     if not ids:
         raise ScanError("no checks selected")
+    if options.top_k < 1:
+        raise ScanError("top_k >= 1 required")
     return _scan(source, ids, options, on_violation)
 
 
@@ -507,8 +485,6 @@ def extremal_search(
     options: ScanOptions = ScanOptions(),
 ) -> list[dict]:
     """The k graphs of smallest slack for one check, deterministic order."""
-    if k < 1:
-        raise ScanError("k >= 1 required")
     options = replace(options, top_k=k)
     report = scan(source, [check_id], options)
     cid = expand_check_ids([check_id], options.walk_rs)[0]

@@ -68,22 +68,25 @@ def test_batch_spectral_fields_equal_scalar_bitwise():
                 assert getattr(bctx, name)[i] == getattr(sctx, name), (n, int(mask), name)
 
 
-def test_batch_checks_match_scalar_results():
+@pytest.mark.parametrize("n", [6, 8, 9, 10, 11])
+def test_batch_checks_match_scalar_results(n):
     rng = np.random.default_rng(42)
-    masks = rng.integers(0, 1 << 15, size=200, dtype=np.int64)
+    masks = rng.integers(0, 1 << (n * (n - 1) // 2), size=64, dtype=np.int64)
     ids = iq.expand_check_ids("all", walk_rs=(1, 2, 3))
-    bctx = bt.BatchContext(6, masks)
+    bctx = bt.BatchContext(n, masks)
+    rows = {}
     for cid in ids:
         entry, r = iq.parse_check_id(cid)
-        lhs = np.broadcast_to(np.asarray(entry.lhs(bctx, r), dtype=np.float64), (len(masks),))
-        rhs = np.broadcast_to(np.asarray(entry.rhs(bctx, r), dtype=np.float64), (len(masks),))
-        app = np.broadcast_to(np.asarray(entry.applicable(bctx, r)), (len(masks),))
-        for i in (0, 17, 63, 199):
-            g = gr.from_edge_mask(6, int(masks[i]))
-            res = iq.check(cid, g)
-            assert abs(lhs[i] - res.lhs) <= 1e-10 * max(1, abs(res.lhs)), cid
-            assert abs(rhs[i] - res.rhs) <= 1e-10 * max(1, abs(res.rhs)), cid
-            assert bool(app[i]) == res.applicable, cid
+        rows[cid] = [np.broadcast_to(x, masks.shape) for x in iq.evaluate_entry(entry, bctx, r)]
+    for i, mask in enumerate(masks):
+        g = gr.from_edge_mask(n, int(mask))
+        sctx = iq.GraphContext(g)
+        for cid in ids:
+            lhs, rhs, app = rows[cid]
+            res = iq.check(cid, g, sctx)
+            assert abs(lhs[i] - res.lhs) <= 1e-10 * max(1, abs(res.lhs)), (cid, i)
+            assert abs(rhs[i] - res.rhs) <= 1e-10 * max(1, abs(res.rhs)), (cid, i)
+            assert bool(app[i]) == res.applicable, (cid, i)
 
 
 def test_triangle_cross_oracle_exact_n7():

@@ -1,8 +1,9 @@
 import itertools
+import string
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from turanlab import graph as gr
@@ -95,11 +96,43 @@ def test_graph6_errors_name_offsets():
     with pytest.raises(gr.Graph6ParseError, match="non-ASCII") as exc:
         gr.from_graph6("Cé")  # '?' after a lossy encoding would read as K4-bar
     assert exc.value.offset == 1
+    with pytest.raises(gr.Graph6ParseError, match="order >= 63") as exc:
+        gr.from_graph6("~??@")  # K1 in the four-byte order form
+    assert exc.value.offset == 1
     # Offsets count from the start of the text passed in.
     for text, offset in ((">>graph6<<A", 11), (" A", 2), (">>graph6<<Cé", 11), (">>graph6<<", 10)):
         with pytest.raises(gr.Graph6ParseError) as exc:
             gr.from_graph6(text)
         assert exc.value.offset == offset, text
+
+
+def _graph6_texts():
+    """Valid lines, graph6-range text and arbitrary text, between whitespace,
+    header, '~' and control-character affixes."""
+    valid = st.integers(1, 64).flatmap(
+        lambda n: st.integers(0, (1 << n * (n - 1) // 2) - 1).map(
+            lambda mask: gr.to_graph6(gr.from_edge_mask(n, mask))))
+    g6_range = st.text(st.characters(min_codepoint=63, max_codepoint=126))
+    # "~??" before a one-byte order spells the same order in the four-byte form.
+    core = st.one_of(valid, valid.map(lambda line: "~??" + line), g6_range,
+                     st.text(st.characters(exclude_categories=())))
+    prefix = st.sampled_from(["", " \t", ">>graph6<<", " >>graph6<<", "~", "\x1c", "\x1f", "\x85"])
+    suffix = st.sampled_from(["", " \r\n", "\x1c", "\x1f"])
+    return st.builds(lambda a, b, c: a + b + c, prefix, core, suffix)
+
+
+@settings(max_examples=400, deadline=None)
+@example("~??@")  # the four-byte order form is defined for n >= 63 only
+@example("\x1cA_")  # str.strip would also remove \x1c-\x1f
+@given(_graph6_texts())
+def test_graph6_parse_or_offset_error_fuzz(text):
+    try:
+        g = gr.from_graph6(text)
+    except gr.Graph6ParseError as exc:
+        assert 0 <= exc.offset <= len(text)
+        return
+    body = text.strip(string.whitespace).removeprefix(">>graph6<<")
+    assert gr.to_graph6(g) == body
 
 
 def test_complete_multipartite_octahedron():

@@ -230,6 +230,8 @@ def test_scan_rejects_bad_input():
         sc.scan(sc.EnumerationSource(3), ["wilf"], sc.ScanOptions(index_range=(0, 99)))
     with pytest.raises(KeyError):
         sc.scan(sc.EnumerationSource(3), ["not_a_check"])
+    with pytest.raises(sc.ScanError, match="top_k"):
+        sc.scan(sc.EnumerationSource(3), ["wilf"], sc.ScanOptions(top_k=0))
 
 
 def test_theorem_sweep_n5_exhaustive():
@@ -240,9 +242,11 @@ def test_theorem_sweep_n5_exhaustive():
 
 
 def test_graph6_parse_error_offsets_count_from_line_start():
-    report = sc.scan(sc.Graph6Source(lines=("", "  >>graph6<<A\n", "A_\n")), "wilf")
+    # Only ASCII whitespace makes a line blank: \x1c-\x1f are parse errors.
+    lines = ("", "  >>graph6<<A\n", "A_\n", "\x1f\n", "\x1cA_\n", " \t\r\n")
+    report = sc.scan(sc.Graph6Source(lines=lines), "wilf")
     assert report.graphs_processed == 1
-    assert [e["line"] for e in report.parse_errors] == [2]
+    assert [e["line"] for e in report.parse_errors] == [2, 4, 5]
     assert report.parse_errors[0]["error"].endswith("(byte offset 13)")
 
 
@@ -272,7 +276,7 @@ def _mixed_corpus() -> list[str]:
 
 
 def _per_line_aggregates(lines, ids, options):
-    """Counts and ranked (slack, label, scale) lists from GraphContext and evaluate_entry."""
+    """Counts and ranked (slack, label, scale) lists from GraphContext and the scalar check."""
     aggs = {cid: {"checked": 0, "applicable": 0, "violations": 0, "equalities": 0, "ranked": []}
             for cid in ids}
     for line in lines:
@@ -286,8 +290,7 @@ def _per_line_aggregates(lines, ids, options):
         if options.connected_only and not ctx.connected:
             continue
         for cid in ids:
-            entry, r = iq.parse_check_id(cid)
-            res = iq.evaluate_entry(entry, ctx, r, options.tol)
+            res = iq.check(cid, g, ctx, options.tol)
             agg = aggs[cid]
             agg["checked"] += 1
             if res.applicable:
